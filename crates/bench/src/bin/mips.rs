@@ -41,6 +41,10 @@
 //! stats, and records the adaptive telemetry: `avg_epoch_len`,
 //! `extended_epoch_pct`, `ns_per_inst_event_adaptive`,
 //! `speedup_threads_4_adaptive` and `speedup_adaptive_vs_fixed_skew`.
+//! It also prints the sharded engine's phase breakdown on the 16x16 MMSE
+//! (4x4 under `--smoke`) at 1, 2 and 4 threads (capped by `--threads`):
+//! run / barrier-wait / parallel-replay / serial-replay host time summed
+//! over workers, and the serial-fallback boundary count.
 //!
 //! `--cycle-engine {event,naive,sharded}` selects a scheduler for a
 //! one-off A/B measurement on the MMSE workload (printed, not recorded);
@@ -330,6 +334,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "adaptive vs fixed (MMSE, full occupancy): {mmse_adaptive_speedup:.2}x (identical CycleStats)"
         );
+
+        // Where the sharded engine's host time goes, per thread count,
+        // on the 16x16 MMSE outside smoke runs (the size with the most
+        // cross-domain replay traffic): phase totals summed over workers
+        // (run + wait + replay + serial ≈ threads × wall), and how many
+        // boundaries needed the serial fallback instead of the parallel
+        // replay.
+        let phase_n = if smoke { n } else { 16 };
+        println!(
+            "\nsharded MMSE phases, {phase_n}x{phase_n} (ms, summed over workers):\n threads |    wall |      run |     wait |   replay |   serial | serial/windows | parallel reqs"
+        );
+        let phase_scn = ParallelScenario::prepare(&ParallelConfig { n: phase_n, ..sconfig })?;
+        let mut phase_ref: Option<(u64, u64)> = None;
+        for t in [1usize, 2, 4].into_iter().filter(|&t| t <= threads_cap) {
+            let out = phase_scn.run_cycle(CycleEngine::Parallel(t))?;
+            assert!(out.verified, "sharded cycle run diverged from the native model");
+            let stats = (out.cycles, out.instructions);
+            assert_eq!(*phase_ref.get_or_insert(stats), stats, "thread counts must agree bit-exactly");
+            let e = out.epochs;
+            let ms = |ns: u64| ns as f64 / 1e6;
+            println!(
+                " {t:>7} | {:>7.1} | {:>8.1} | {:>8.1} | {:>8.1} | {:>8.1} | {:>14} | {}",
+                out.wall.as_secs_f64() * 1e3,
+                ms(e.run_ns),
+                ms(e.wait_ns),
+                ms(e.replay_ns),
+                ms(e.serial_ns),
+                format!("{}/{}", e.serial_boundaries, e.windows),
+                e.replayed
+            );
+        }
 
         let (skew_adaptive, skew_fixed, ereport, eskew_cycles) = measure_skew_epochs(scale_cores, spin, reps);
         let skew_adaptive_speedup = skew_fixed.as_secs_f64() / skew_adaptive.as_secs_f64().max(1e-9);

@@ -193,7 +193,8 @@ struct Inner {
     slots: Vec<Slot>,
     tick: u64,
     hits: u64,
-    misses: u64,
+    builds: u64,
+    coalesced: u64,
     evictions: u64,
     /// Accumulated [`PoolStats`] of every evicted entry, so quarantine
     /// and recycle accounting survive eviction.
@@ -205,8 +206,12 @@ struct Inner {
 pub struct CacheStats {
     /// Lookups whose entry was already built on arrival.
     pub hits: u64,
-    /// Lookups that inserted a fresh entry *or* arrived while the entry
-    /// was still mid-build (those share the build but are not warm).
+    /// Lookups that ran the build closure themselves.
+    pub builds: u64,
+    /// Lookups that arrived while the entry was still mid-build and
+    /// waited for another lookup's build (shared, but not warm).
+    pub coalesced: u64,
+    /// Every lookup that was not a hit: `builds + coalesced`.
     pub misses: u64,
     /// Entries dropped to make room (LRU order).
     pub evictions: u64,
@@ -257,7 +262,8 @@ impl ArtifactCache {
             slots: Vec::new(),
             tick: 0,
             hits: 0,
-            misses: 0,
+            builds: 0,
+            coalesced: 0,
             evictions: 0,
             retired: PoolStats::default(),
         };
@@ -267,17 +273,15 @@ impl ArtifactCache {
     /// Looks up `key`, building the entry with `build` on a miss.
     /// Returns the entry (or its memoised build error) and whether the
     /// lookup was a warm hit. Concurrent misses on one key run `build`
-    /// exactly once; the rest block on the winner's cell.
+    /// exactly once; the rest block on the winner's cell and count as
+    /// [`coalesced`](CacheStats::coalesced).
     pub fn get_or_build(
         &self,
         key: ScenarioKey,
         build: impl FnOnce() -> Result<CachedScenario, String>,
     ) -> (Result<Arc<CachedScenario>, String>, bool) {
         let (cell, hit) = {
-            // Poison recovery: the map holds plain slots with no
-            // invariant a panicking builder could break (builds run
-            // outside the lock).
-            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+            let mut inner = self.lock();
             inner.tick += 1;
             let tick = inner.tick;
             match inner.slots.iter().position(|s| s.key == key) {
@@ -286,13 +290,10 @@ impl ArtifactCache {
                     let hit = inner.slots[i].cell.get().is_some();
                     if hit {
                         inner.hits += 1;
-                    } else {
-                        inner.misses += 1;
                     }
                     (Arc::clone(&inner.slots[i].cell), hit)
                 }
                 None => {
-                    inner.misses += 1;
                     if inner.slots.len() >= self.capacity {
                         self.evict_lru(&mut inner);
                     }
@@ -302,7 +303,31 @@ impl ArtifactCache {
                 }
             }
         };
-        (cell.get_or_init(|| build().map(Arc::new)).clone(), hit)
+        if hit {
+            return (cell.get().expect("hit on a built cell").clone(), true);
+        }
+        // Whichever lookup reaches the cell first builds; the rest wait.
+        let mut built = false;
+        let entry = cell
+            .get_or_init(|| {
+                built = true;
+                build().map(Arc::new)
+            })
+            .clone();
+        let mut inner = self.lock();
+        if built {
+            inner.builds += 1;
+        } else {
+            inner.coalesced += 1;
+        }
+        (entry, false)
+    }
+
+    /// Locks the map. Poison recovery is sound: the map holds plain slots
+    /// and counters with no invariant a panicking builder could break
+    /// (builds run outside the lock).
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Drops the least-recently-used slot, folding a built entry's pool
@@ -323,10 +348,12 @@ impl ArtifactCache {
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = self.lock();
         CacheStats {
             hits: inner.hits,
-            misses: inner.misses,
+            builds: inner.builds,
+            coalesced: inner.coalesced,
+            misses: inner.builds + inner.coalesced,
             evictions: inner.evictions,
             entries: inner.slots.len(),
             capacity: self.capacity,
@@ -338,7 +365,7 @@ impl ArtifactCache {
     /// job's quarantined arena stays on the books after its scenario
     /// goes cold and is evicted.
     pub fn pool_stats(&self) -> PoolStats {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = self.lock();
         let mut total = inner.retired;
         for slot in &inner.slots {
             if let Some(Ok(scenario)) = slot.cell.get() {

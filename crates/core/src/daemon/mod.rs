@@ -678,6 +678,7 @@ mod tests {
         assert_eq!(stats.completed, 2);
         assert_eq!(stats.failed, 0);
         assert_eq!(stats.cache.hits, 1);
+        assert_eq!(stats.cache.builds, 1);
         assert_eq!(stats.cache.misses, 1);
         // The second request recycled the first's arena.
         assert_eq!(stats.pools.fresh, 1);

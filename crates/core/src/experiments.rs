@@ -12,7 +12,9 @@ use std::time::{Duration, Instant};
 use terasim_iss::{EpochMode, FusionMode, FusionProfile, RunConfig};
 use terasim_kernels::{data, native, MmseKernel, Precision, ProblemLayout, C64};
 use terasim_phy::{BerPoint, ChannelKind, Mimo, Modulation, TxGenerator};
-use terasim_terapool::{ClusterMem, CycleSim, CycleStats, FastSim, MemPool, SimArtifacts, Topology};
+use terasim_terapool::{
+    ClusterMem, CycleSim, CycleStats, EpochReport, FastSim, MemPool, SimArtifacts, Topology,
+};
 
 use crate::detectors::DetectorKind;
 use crate::serve::{BatchRunner, JobCtx, JobError};
@@ -68,6 +70,9 @@ pub struct CycleOutcome {
     pub instructions: u64,
     /// All results matched the bit-true native model.
     pub verified: bool,
+    /// Scheduling and phase telemetry of the sharded engine (all zero
+    /// when the run never sharded: single-group topologies, naive scan).
+    pub epochs: EpochReport,
 }
 
 /// Picks a topology that fits the experiment: the TeraPool hierarchy at
@@ -507,6 +512,7 @@ impl ParallelScenario {
             per_group: result.aggregate_groups(&topo),
             instructions: breakdown.instructions,
             verified: verify(sim.memory(), &self.layout, &set),
+            epochs: sim.epoch_report(),
         })
     }
 
@@ -535,6 +541,7 @@ impl ParallelScenario {
             per_group: result.aggregate_groups(&topo),
             instructions: breakdown.instructions,
             verified: verify(sim.memory(), &self.layout, &set),
+            epochs: sim.epoch_report(),
         })
     }
 }

@@ -3,7 +3,7 @@
 //! that group's cores, tile I$ models, bank/port reservation books and
 //! ready queue ([`Wheel`]). A domain simulates one epoch at a time with
 //! no synchronization; everything that crosses its boundary goes through
-//! the [`XRequest`] outbox, which the coordinator ([`super::epoch`])
+//! the [`XRequest`] outbox, which the epoch driver ([`super::epoch`])
 //! replays between epochs.
 
 use std::cmp::Reverse;
@@ -109,6 +109,11 @@ impl Wheel {
 /// of a single topology group. All indices below `core_base`-relative
 /// state (`ctxs`, wheel bitmaps, `parked`) are *local* core ids; the
 /// [`DomainBanks`] translate global tile/bank ids.
+///
+/// Owned by value by exactly one host worker of the sharded driver, which
+/// is the only thread that ever writes it (aligned so that no two
+/// engines' headers share a cache line).
+#[repr(align(128))]
 pub(super) struct DomainEngine {
     /// The group this domain simulates.
     pub(super) domain: u32,
@@ -120,6 +125,10 @@ pub(super) struct DomainEngine {
     pub(super) icaches: Vec<FastICache>,
     /// This domain's bank/port reservation books.
     pub(super) banks: DomainBanks,
+    /// The view through which the boundary replay applies other domains'
+    /// requests to this domain's banks (L1 words only — the core id it
+    /// carries is never consulted there).
+    pub(super) replay_mem: TurboMem,
     /// Locally parked (`wfi`) cores, woken only at epoch boundaries.
     pub(super) parked: Vec<u32>,
     /// Deferred cross-domain requests issued this epoch, in
@@ -187,6 +196,7 @@ impl DomainEngine {
                 .map(|_| FastICache::new(topo.icache_bytes, topo.icache_line))
                 .collect(),
             banks: DomainBanks::for_domain(topo, domain),
+            replay_mem: sim.memory().turbo_view(domain * topo.cores_per_group()),
             parked: Vec::new(),
             outbox: Vec::new(),
             trap: None,
@@ -356,6 +366,12 @@ impl DomainEngine {
         debug_assert!(self.now <= end && self.nxt_count == 0);
         self.now = end;
         self.paused = true;
+    }
+
+    /// The boundary this engine is parked at (the window start before its
+    /// first window).
+    pub(super) fn now(&self) -> u64 {
+        self.now
     }
 
     /// The coordinator's view of this domain's remote-issue horizon

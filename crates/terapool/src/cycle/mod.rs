@@ -45,10 +45,12 @@
 //!   latency ([`Topology::CROSS_GROUP_HOP`]). Intra-group traffic — the
 //!   common case by construction of the tile-local sequential address
 //!   map — is simulated entirely inside a domain with no synchronization;
-//!   cross-group accesses are deferred into per-domain mailboxes that an
-//!   epoch coordinator ([`epoch`]) replays at each boundary in global
-//!   `(issue cycle, core id)` order. Results are bit-identical for every
-//!   host thread count, including 1.
+//!   cross-group accesses are deferred into per-domain mailboxes that the
+//!   epoch driver ([`epoch`]) replays at each boundary in global
+//!   `(issue cycle, core id)` order — in parallel, each worker replaying
+//!   the requests aimed at its own banks and then the replies to its own
+//!   cores, with a serial fallback for L2/control traffic. Results are
+//!   bit-identical for every host thread count, including 1.
 //! * [`CycleSim::run_naive`] — the full-scan scheduler, retained as the
 //!   semantic reference: every core context is rescanned on every event
 //!   step. The `differential`/`parallel` integration tests pin all three
@@ -186,10 +188,16 @@ impl CycleResult {
 }
 
 /// Scheduling telemetry of the most recent sharded run: how often the
-/// adaptive coordinator extended or trimmed its windows and how much
-/// simulated time they covered. A side channel on [`CycleSim`] rather
-/// than a [`CycleResult`] field, so results stay directly comparable
-/// across engines and epoch modes (the bit-identity contract).
+/// adaptive coordinator extended or trimmed its windows, how much
+/// simulated time they covered, and where the host time of the window
+/// protocol went. A side channel on [`CycleSim`] rather than a
+/// [`CycleResult`] field, so results stay directly comparable across
+/// engines and epoch modes (the bit-identity contract).
+///
+/// The phase times are totals over all workers and windows, read from
+/// the clock only at phase boundaries of the window protocol (never per
+/// instruction): per worker and window, `run_ns + wait_ns + replay_ns +
+/// serial_ns` is its wall time.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EpochReport {
     /// Scheduling windows driven (each ends in one boundary replay).
@@ -201,6 +209,20 @@ pub struct EpochReport {
     pub trimmed: u64,
     /// Simulated cycles covered by all windows together.
     pub cycles: u64,
+    /// Host time spent simulating windows and publishing their outboxes.
+    pub run_ns: u64,
+    /// Host time spent waiting on the two window barriers, or on worker 0
+    /// during a serial boundary.
+    pub wait_ns: u64,
+    /// Host time spent in the parallel (target + source) boundary replay.
+    pub replay_ns: u64,
+    /// Host time worker 0 spent on serial-fallback boundaries.
+    pub serial_ns: u64,
+    /// Boundaries replayed by the serial fallback (L2/control traffic,
+    /// replay traps); every other boundary replayed in parallel.
+    pub serial_boundaries: u64,
+    /// Deferred requests replayed by the parallel (fast-path) replay.
+    pub replayed: u64,
 }
 
 impl EpochReport {
@@ -225,39 +247,78 @@ impl EpochReport {
     }
 }
 
-/// Interior-mutable accumulator behind [`EpochReport`]: the coordinator
-/// records through a `&CycleSim`, so the counters are atomics (only the
-/// deciding worker ever writes; relaxed ordering suffices because the
-/// snapshot is taken after the run joins).
+/// Interior-mutable accumulator behind [`EpochReport`]: each worker of a
+/// sharded run tallies locally and adds its totals once, when it stops
+/// (relaxed ordering suffices because the snapshot is taken after the
+/// run joins).
 #[derive(Debug, Default)]
 struct EpochCounters {
     windows: AtomicU64,
     extended: AtomicU64,
     trimmed: AtomicU64,
     cycles: AtomicU64,
+    run_ns: AtomicU64,
+    wait_ns: AtomicU64,
+    replay_ns: AtomicU64,
+    serial_ns: AtomicU64,
+    serial_boundaries: AtomicU64,
+    replayed: AtomicU64,
 }
 
 impl EpochCounters {
-    fn reset(&self) {
-        self.windows.store(0, Ordering::Relaxed);
-        self.extended.store(0, Ordering::Relaxed);
-        self.trimmed.store(0, Ordering::Relaxed);
-        self.cycles.store(0, Ordering::Relaxed);
+    fn fields(&self) -> [&AtomicU64; 10] {
+        [
+            &self.windows,
+            &self.extended,
+            &self.trimmed,
+            &self.cycles,
+            &self.run_ns,
+            &self.wait_ns,
+            &self.replay_ns,
+            &self.serial_ns,
+            &self.serial_boundaries,
+            &self.replayed,
+        ]
     }
 
-    fn record(&self, extended: bool, trimmed: bool, span: u64) {
-        self.windows.fetch_add(1, Ordering::Relaxed);
-        self.extended.fetch_add(u64::from(extended), Ordering::Relaxed);
-        self.trimmed.fetch_add(u64::from(trimmed), Ordering::Relaxed);
-        self.cycles.fetch_add(span, Ordering::Relaxed);
+    fn reset(&self) {
+        for f in self.fields() {
+            f.store(0, Ordering::Relaxed);
+        }
+    }
+
+    fn add(&self, r: &EpochReport) {
+        let values = [
+            r.windows,
+            r.extended,
+            r.trimmed,
+            r.cycles,
+            r.run_ns,
+            r.wait_ns,
+            r.replay_ns,
+            r.serial_ns,
+            r.serial_boundaries,
+            r.replayed,
+        ];
+        for (f, v) in self.fields().into_iter().zip(values) {
+            f.fetch_add(v, Ordering::Relaxed);
+        }
     }
 
     fn snapshot(&self) -> EpochReport {
+        let [windows, extended, trimmed, cycles, run_ns, wait_ns, replay_ns, serial_ns, serial_boundaries, replayed] =
+            self.fields().map(|f| f.load(Ordering::Relaxed));
         EpochReport {
-            windows: self.windows.load(Ordering::Relaxed),
-            extended: self.extended.load(Ordering::Relaxed),
-            trimmed: self.trimmed.load(Ordering::Relaxed),
-            cycles: self.cycles.load(Ordering::Relaxed),
+            windows,
+            extended,
+            trimmed,
+            cycles,
+            run_ns,
+            wait_ns,
+            replay_ns,
+            serial_ns,
+            serial_boundaries,
+            replayed,
         }
     }
 }
@@ -909,7 +970,9 @@ impl CycleSim {
     /// Scheduling telemetry of the most recent sharded run
     /// ([`CycleSim::run_parallel`], or [`CycleSim::run`] on multi-group
     /// topologies): window counts, extension/trim tallies and cycle
-    /// coverage. All-zero before the first sharded run; a fixed-cadence
+    /// coverage, plus the host time of each window phase (run, barrier
+    /// wait, parallel replay, serial replay) and the serial-fallback
+    /// count. All-zero before the first sharded run; a fixed-cadence
     /// run ([`terasim_iss::EpochMode::Fixed`]) reports every window as a
     /// plain base epoch. [`CycleSim::run_naive`] keeps its own epoch
     /// loop and does not touch the report.

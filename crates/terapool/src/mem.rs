@@ -538,15 +538,23 @@ impl Memory for CoreMem {
 ///   powers of two (they are for every TeraPool configuration), instead
 ///   of the division/modulo chain in [`Topology::l1_slot`].
 ///
-/// These are sound only under the cycle engines' access discipline, which
-/// guarantees no location is ever written concurrently:
+/// These are deterministic only under the cycle engines' access
+/// discipline, which guarantees no word is ever accessed by two host
+/// threads between the same pair of synchronization points (the relaxed
+/// atomics keep any violation memory-safe, just not reproducible):
 ///
 /// * single-domain engines run every hart on one host thread;
-/// * the epoch-sharded engine lets a domain touch **only its own group's
-///   banks** during an epoch (cross-group and all L2/control accesses
-///   are deferred into [`XRequest`] mailboxes and applied single-threaded
-///   at the epoch boundary, which the domains' synchronization barrier
-///   orders against all phase reads/writes).
+/// * in the epoch-sharded engine **each bank's words are written only by
+///   the worker that owns the bank's domain**: during a window a domain
+///   touches only its own group's banks (cross-group and all L2/control
+///   accesses are deferred into [`XRequest`] mailboxes), and the
+///   parallel boundary replay applies every deferred L1 request through
+///   the *target* domain's own view, on its owner's thread, between the
+///   two window barriers;
+/// * L2 and the control region (and DMA copies into any bank) change only
+///   on serial boundaries, where worker 0 holds every domain and the
+///   hand-over messages order its writes against all other workers'
+///   reads and writes.
 ///
 /// Never hand this to code outside that discipline — use
 /// [`ClusterMem::core_view`] there.

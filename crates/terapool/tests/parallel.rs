@@ -10,8 +10,9 @@
 //! remote banks, post-increment addressing, L2 mutation, partial-cluster
 //! runs and guest deadlock.
 
+use terasim_iss::{MemError, Trap};
 use terasim_riscv::{Assembler, Image, Reg, Segment};
-use terasim_terapool::{CycleResult, CycleSim, FastSim, Topology};
+use terasim_terapool::{CycleResult, CycleSim, EpochReport, FastSim, Topology};
 
 fn image_of(build: impl FnOnce(&mut Assembler)) -> Image {
     let mut a = Assembler::new(Topology::L2_BASE);
@@ -351,4 +352,240 @@ fn deadlock_reported_identically_at_scale() {
     let result = sim.run_parallel(cores, 4).unwrap();
     assert!(result.deadlocked);
     assert_eq!(result.parked, vec![0, 237, 474]);
+}
+
+/// Runs the full-scan oracle and the sharded engine at 1/2/3/4 threads
+/// and pins the outcome — per-core stats, makespan, deadlock report, or
+/// the trap — and every word of the byte range(s) `sweep` bit-identical
+/// (consecutive words, 4-byte aligned). Returns the
+/// oracle's outcome and each sharded run's epoch report.
+fn assert_sharded_matches_naive(
+    topo: Topology,
+    image: &Image,
+    cores: u32,
+    seed_mem: impl Fn(&CycleSim),
+    sweep: impl Iterator<Item = u32> + Clone,
+) -> (Result<CycleResult, Trap>, Vec<EpochReport>) {
+    let mut oracle = CycleSim::new(topo, image).unwrap();
+    seed_mem(&oracle);
+    let want = oracle.run_naive(cores);
+    let mut reports = Vec::new();
+    for threads in 1..=4usize {
+        let mut sim = CycleSim::new(topo, image).unwrap();
+        seed_mem(&sim);
+        let got = sim.run_parallel(cores, threads);
+        match (&got, &want) {
+            (Ok(g), Ok(w)) => {
+                assert_eq!(g.cycles, w.cycles, "{threads} threads: makespan differs");
+                assert_eq!(g.deadlocked, w.deadlocked, "{threads} threads: deadlock flag differs");
+                assert_eq!(g.parked, w.parked, "{threads} threads: parked set differs");
+                assert_eq!(g.per_core, w.per_core, "{threads} threads: per-core stats differ");
+            }
+            (Err(g), Err(w)) => assert_eq!(g, w, "{threads} threads: a different trap won"),
+            _ => panic!(
+                "{threads} threads: outcome {:?} vs oracle {:?}",
+                got.as_ref().err(),
+                want.as_ref().err()
+            ),
+        }
+        for addr in sweep.clone().step_by(4) {
+            assert_eq!(
+                sim.memory().read_u32(addr),
+                oracle.memory().read_u32(addr),
+                "{threads} threads: word {addr:#x} differs"
+            );
+        }
+        reports.push(sim.epoch_report());
+    }
+    (want, reports)
+}
+
+/// Loads the per-core remote-bank address into `A0`: interleaved word
+/// `4·hart + 1024` sits in bank `(4·hart + 1024) mod 4096`, one group
+/// over from the hart's own on the 1024-core, 4-group topology.
+fn emit_remote_word(a: &mut Assembler) {
+    a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
+    a.slli(Reg::A0, Reg::T0, 4);
+    a.li(Reg::A1, 0x1000);
+    a.add(Reg::A0, Reg::A0, Reg::A1);
+}
+
+/// Spins until `mcycle` reaches the value in `T5` (clobbers `T4`): a
+/// guest-side way to line issue times up across harts and domains.
+fn emit_spin_until_t5(a: &mut Assembler) {
+    let spin = a.new_label();
+    a.bind(spin);
+    a.csrr(Reg::T4, terasim_riscv::csr::MCYCLE);
+    a.blt(Reg::T4, Reg::T5, spin);
+}
+
+/// Every core stores to a remote bank around cycle 200, and two of them
+/// — hart 5 (group 0) and hart 600 (group 2) — store *misaligned*: the
+/// replay trap that wins is the earliest in `(cycle, core)` order, and
+/// the memory holds exactly the requests replayed before it. Sweeping
+/// hart 5's issue cycle across hart 600's makes each of them win.
+#[test]
+fn misaligned_remote_stores_earliest_trap_wins() {
+    let cores = 1024u32;
+    let topo = Topology::scaled(cores);
+    let mut winners = Vec::new();
+    for skew in -4..=4 {
+        let image = image_of(|a| {
+            emit_remote_word(a);
+            a.addi(Reg::T1, Reg::T0, 100);
+            // Everyone else spreads over cycles 200..204, aligned.
+            a.andi(Reg::T5, Reg::T0, 3);
+            a.addi(Reg::T5, Reg::T5, 200);
+            a.li(Reg::A4, 0);
+            for (hart, at) in [(5, 200 + skew), (600, 200)] {
+                let other = a.new_label();
+                a.li(Reg::T2, hart);
+                a.bne(Reg::T0, Reg::T2, other);
+                a.li(Reg::T5, at);
+                a.li(Reg::A4, 2);
+                a.bind(other);
+            }
+            emit_spin_until_t5(a);
+            a.add(Reg::A0, Reg::A0, Reg::A4);
+            a.sw(Reg::T1, 0, Reg::A0);
+        });
+        let (want, _) = assert_sharded_matches_naive(topo, &image, cores, |_| {}, 0x1000..0x5000);
+        match want {
+            Err(Trap::Mem { err: MemError::Misaligned { addr, .. }, .. }) => {
+                winners.push((addr - 0x1002) / 16)
+            }
+            other => panic!("skew {skew}: expected a misaligned trap, got {:?}", other.err()),
+        }
+    }
+    assert!(winners.contains(&5) && winners.contains(&600), "both harts must win at some skew: {winners:?}");
+}
+
+/// A DMA length store (which copies L2 into L1 at replay) around cycle
+/// 300, amid remote stores from two other domains to the DMA's
+/// destination words spread over cycles 292..308: the control store and
+/// the stores must apply in `(cycle, core)` order, so the destination
+/// ends up a mix of both.
+#[test]
+fn dma_control_store_races_remote_stores_to_its_destination() {
+    let cores = 1024u32;
+    let topo = Topology::scaled(cores);
+    let src = Topology::L2_BASE + 0x1000;
+    // 64 words in group 1's banks (words 9216.. = banks 1024..).
+    let dst = 4 * (2 * 4096 + 1024);
+    let image = image_of(|a| {
+        a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
+        let dma = a.new_label();
+        let done = a.new_label();
+        a.beqz(Reg::T0, dma);
+        // Harts 512..575 and 768..831 (groups 2 and 3) store their id to
+        // destination word `hart mod 64` at cycle `292 + hart mod 16`.
+        a.srli(Reg::T1, Reg::T0, 8);
+        a.li(Reg::T2, 2);
+        a.blt(Reg::T1, Reg::T2, done);
+        a.andi(Reg::T3, Reg::T0, 0xff);
+        a.li(Reg::T2, 64);
+        a.bge(Reg::T3, Reg::T2, done);
+        a.slli(Reg::A0, Reg::T3, 2);
+        a.li(Reg::A1, dst as i32);
+        a.add(Reg::A0, Reg::A0, Reg::A1);
+        a.andi(Reg::T5, Reg::T0, 15);
+        a.addi(Reg::T5, Reg::T5, 292);
+        emit_spin_until_t5(a);
+        a.sw(Reg::T0, 0, Reg::A0);
+        a.j(done);
+        // Hart 0 programs the DMA early, then starts it at cycle 300.
+        a.bind(dma);
+        a.li(Reg::A2, Topology::CTRL_DMA_SRC as i32);
+        a.li(Reg::A3, src as i32);
+        a.sw(Reg::A3, 0, Reg::A2);
+        a.li(Reg::A2, Topology::CTRL_DMA_DST as i32);
+        a.li(Reg::A3, dst as i32);
+        a.sw(Reg::A3, 0, Reg::A2);
+        a.li(Reg::A2, Topology::CTRL_DMA_LEN as i32);
+        a.li(Reg::A3, 4 * 64);
+        a.li(Reg::T5, 300);
+        emit_spin_until_t5(a);
+        a.sw(Reg::A3, 0, Reg::A2);
+        a.bind(done);
+    });
+    let seed = |sim: &CycleSim| {
+        for i in 0..64 {
+            sim.memory().write_u32(src + 4 * i, 0xd000_0000 + i);
+        }
+    };
+    let (want, _) = assert_sharded_matches_naive(topo, &image, cores, seed, dst..dst + 4 * 64);
+    want.expect("the DMA guest runs clean");
+    let mut sim = CycleSim::new(topo, &image).unwrap();
+    seed(&sim);
+    sim.run_parallel(cores, 2).unwrap();
+    let words: Vec<u32> = (0..64).map(|i| sim.memory().read_u32(dst + 4 * i)).collect();
+    assert!(
+        words.iter().any(|&w| w >= 0xd000_0000),
+        "some destination word must keep the DMA's value: {words:x?}"
+    );
+    assert!(words.iter().any(|&w| w < 0xd000_0000), "some remote store must land after the DMA: {words:x?}");
+}
+
+/// Every core of all four domains hammers one hot bank with AMOs (local
+/// issue-time AMOs in group 0 interleave with replayed remote ones), and
+/// publishes each returned old value: the bank's grant order and every
+/// AMO result must match the oracle.
+#[test]
+fn hot_bank_amo_storm_from_all_domains() {
+    let cores = 1024u32;
+    let topo = Topology::scaled(cores);
+    let image = image_of(|a| {
+        a.csrr(Reg::T0, terasim_riscv::csr::MHARTID);
+        a.slli(Reg::A0, Reg::T0, 4);
+        a.li(Reg::A1, 0x8000);
+        a.add(Reg::A0, Reg::A0, Reg::A1);
+        a.li(Reg::A2, 0x100);
+        a.li(Reg::T1, 1);
+        for k in 0..3 {
+            a.amoadd_w(Reg::T2, Reg::T1, Reg::A2);
+            a.sw(Reg::T2, 4 * k, Reg::A0);
+        }
+        a.amoswap_w(Reg::T3, Reg::T0, Reg::A2);
+        a.sw(Reg::T3, 12, Reg::A0);
+    });
+    let (want, _) =
+        assert_sharded_matches_naive(topo, &image, cores, |_| {}, (0x100..0x104).chain(0x8000..0xc000));
+    want.expect("the AMO storm runs clean");
+}
+
+/// A guest with both cross-group loads and wake-all barriers exercises
+/// both replay paths: boundaries carrying only L1 requests replay in
+/// parallel, the barrier's control store forces the serial fallback —
+/// at every thread count, bit-identical to the oracle.
+#[test]
+fn parallel_replay_and_serial_fallback_both_fire() {
+    let cores = 1024u32;
+    let topo = Topology::scaled(cores);
+    let image = image_of(|a| {
+        emit_remote_word(a);
+        for phase in 0..2 {
+            for k in 0..4 {
+                a.lw(Reg::A3, 4 * k, Reg::A0);
+                a.add(Reg::T1, Reg::T1, Reg::A3);
+            }
+            a.sw(Reg::T1, 8, Reg::A0);
+            emit_barrier(a, 0x40 + 4 * phase, cores);
+        }
+    });
+    let seed = |sim: &CycleSim| {
+        for i in 0..0x1000u32 {
+            sim.memory().write_u32(0x1000 + 4 * i, i ^ 0x5a5a);
+        }
+    };
+    let (want, reports) = assert_sharded_matches_naive(topo, &image, cores, seed, 0..0x5000);
+    want.expect("the barrier guest runs clean");
+    for (i, r) in reports.iter().enumerate() {
+        assert!(
+            r.serial_boundaries > 0,
+            "{} threads: the barrier must take the serial fallback: {r:?}",
+            i + 1
+        );
+        assert!(r.replayed > 0, "{} threads: L1-only boundaries must replay in parallel: {r:?}", i + 1);
+        assert!(r.serial_boundaries < r.windows, "{} threads: {r:?}", i + 1);
+    }
 }
