@@ -75,7 +75,7 @@ use terasim_terapool::PoolStats;
 
 use crate::detectors::DetectorKind;
 use crate::experiments::{BatchConfig, BatchOutcome, CycleEngine, CycleOutcome, FastOutcome, ParallelConfig};
-use crate::serve::{BatchRunner, JobError, RunPolicy};
+use crate::serve::{panic_message, BatchRunner, JobError, RunPolicy};
 
 /// The stable identity of a request's *scenario* — everything that
 /// determines the artifact set (topology, kernel image, run
@@ -597,13 +597,20 @@ fn worker_loop(shared: &Shared) {
 /// Executes one request on the calling worker thread. Both paths run
 /// through the supervised batch runner at a single lane (zero extra
 /// threads), so panics, traps, budgets and cancellation all surface as
-/// [`JobError`]s instead of killing the worker.
+/// [`JobError`]s instead of killing the worker. A scenario build that
+/// panics becomes a [`ServeError::Build`] carrying the panic message,
+/// memoised by the cache like any other build failure.
 fn serve_one(shared: &Shared, req: &ServeRequest) -> (Result<ServeResponse, ServeError>, bool) {
     let runner = BatchRunner::with_workers(1);
     if req.cacheable() {
-        let (entry, hit) = shared
-            .cache
-            .get_or_build(req.key(), || CachedScenario::build_with(req, shared.fusion, shared.epochs));
+        let (entry, hit) = shared.cache.get_or_build(req.key(), || {
+            // `AssertUnwindSafe` is sound: a panicked build leaves nothing
+            // behind but its error, which the cache keeps.
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                CachedScenario::build_with(req, shared.fusion, shared.epochs)
+            }))
+            .unwrap_or_else(|payload| Err(format!("build panicked: {}", panic_message(&*payload))))
+        });
         match entry {
             Ok(scenario) => {
                 let mut out =

@@ -70,8 +70,9 @@ pub struct CycleOutcome {
     pub instructions: u64,
     /// All results matched the bit-true native model.
     pub verified: bool,
-    /// Scheduling and phase telemetry of the sharded engine (all zero
-    /// when the run never sharded: single-group topologies, naive scan).
+    /// Scheduling and phase telemetry of the sharded engine. All zero
+    /// when the run never sharded: single-group topologies (the one
+    /// engine runs solo, without epochs) and the reference scan.
     pub epochs: EpochReport,
 }
 
@@ -452,7 +453,8 @@ impl ParallelScenario {
     /// cycle-mode counterpart of [`try_run_fast`](Self::try_run_fast).
     /// The policy's per-job instruction budget feeds the engine's
     /// per-core safety net (`CycleSim::max_instructions`) and the cancel
-    /// token is polled at event steps, scan passes and epoch boundaries.
+    /// token is polled between engine windows, scan passes and epoch
+    /// boundaries.
     /// Healthy jobs are bit-identical to
     /// [`run_cycle_seeded`](Self::run_cycle_seeded) on every engine.
     ///
@@ -574,12 +576,14 @@ pub fn parallel_fast_configured(
 /// Which cycle-accurate scheduler to drive (see [`CycleSim`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CycleEngine {
-    /// The event-driven ready-queue scheduler (`CycleSim::run`).
+    /// The event-driven engine on the calling thread (`CycleSim::run`):
+    /// the same code as `Parallel(1)`.
     EventDriven,
-    /// The retained full-scan reference scheduler (`CycleSim::run_naive`).
+    /// The full-scan reference scheduler (`CycleSim::run_naive`).
     NaiveScan,
-    /// The epoch-sharded engine (`CycleSim::run_parallel`) over this many
-    /// host threads — bit-identical to the other two at any count.
+    /// The event-driven engine (`CycleSim::run_parallel`), sharded over
+    /// up to this many host threads on multi-group topologies —
+    /// bit-identical to the other two at any count.
     Parallel(usize),
 }
 

@@ -616,7 +616,7 @@ fn supervise<I, T>(
 
 /// Extracts the human-readable message from a panic payload (`&str` and
 /// `String` cover `panic!`, `assert!` and `expect`).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

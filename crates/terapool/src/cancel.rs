@@ -2,10 +2,11 @@
 //!
 //! A [`CancelToken`] is a cheap cloneable flag shared between a batch
 //! driver and the jobs it runs. The simulators poll it only at *safe
-//! points* — the fast mode between scheduling rounds, the cycle engines
-//! between event steps and at epoch boundaries — so cancellation never
-//! interrupts an instruction mid-issue and never perturbs the results of
-//! runs that complete before the flag is raised. A cancelled run returns
+//! points* — the fast mode between scheduling rounds, the cycle engine
+//! between fixed-length windows (single-group topologies) and at epoch
+//! boundaries, the reference scan between scan passes — so cancellation
+//! never interrupts an instruction mid-issue and never perturbs the
+//! results of runs that complete before the flag is raised. A cancelled run returns
 //! its partial result with the `cancelled` flag set
 //! ([`ClusterResult::cancelled`](crate::ClusterResult),
 //! [`CycleResult::cancelled`](crate::CycleResult)); callers must treat

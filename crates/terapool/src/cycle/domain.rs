@@ -1,10 +1,12 @@
-//! The per-domain half of the epoch-sharded cycle engine: one
-//! event-driven scheduler ([`DomainEngine`]) per topology *group*, owning
-//! that group's cores, tile I$ models, bank/port reservation books and
-//! ready queue ([`Wheel`]). A domain simulates one epoch at a time with
-//! no synchronization; everything that crosses its boundary goes through
-//! the [`XRequest`] outbox, which the epoch driver ([`super::epoch`])
-//! replays between epochs.
+//! The event-driven cycle engine: one scheduler ([`DomainEngine`]) per
+//! topology *group*, owning that group's cores, tile I$ models, bank/port
+//! reservation books and ready queue ([`Wheel`]). A domain simulates one
+//! window at a time with no synchronization. In a sharded run everything
+//! that crosses its boundary goes through the [`XRequest`] outbox, which
+//! the epoch driver ([`super::epoch`]) replays between epochs; a *solo*
+//! engine — the only domain of a single-group topology, driven by
+//! [`CycleSim::run`] — has no boundary to cross and executes everything
+//! in place.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -104,14 +106,13 @@ impl Wheel {
     }
 }
 
-/// One arbitration domain of the epoch-sharded engine: the event-driven
-/// scheduler of [`CycleSim::run`], scoped to the cores, tiles and banks
-/// of a single topology group. All indices below `core_base`-relative
-/// state (`ctxs`, wheel bitmaps, `parked`) are *local* core ids; the
-/// [`DomainBanks`] translate global tile/bank ids.
+/// The event-driven scheduler of one arbitration domain, scoped to the
+/// cores, tiles and banks of a single topology group. All indices below
+/// `core_base`-relative state (`ctxs`, wheel bitmaps, `parked`) are
+/// *local* core ids; the [`DomainBanks`] translate global tile/bank ids.
 ///
-/// Owned by value by exactly one host worker of the sharded driver, which
-/// is the only thread that ever writes it (aligned so that no two
+/// In a sharded run it is owned by value by exactly one host worker,
+/// which is the only thread that ever writes it (aligned so that no two
 /// engines' headers share a cache line).
 #[repr(align(128))]
 pub(super) struct DomainEngine {
@@ -129,7 +130,8 @@ pub(super) struct DomainEngine {
     /// requests to this domain's banks (L1 words only — the core id it
     /// carries is never consulted there).
     pub(super) replay_mem: TurboMem,
-    /// Locally parked (`wfi`) cores, woken only at epoch boundaries.
+    /// Locally parked (`wfi`) cores, woken at epoch boundaries (solo: in
+    /// the event step that published the wake).
     pub(super) parked: Vec<u32>,
     /// Deferred cross-domain requests issued this epoch, in
     /// `(cycle, core)` order by construction of the event loop.
@@ -156,6 +158,12 @@ pub(super) struct DomainEngine {
     /// `false` until the first epoch ran: the initial ready set (all
     /// cores at cycle 0) is pre-seeded in `cur`, not in the wheel.
     paused: bool,
+    /// The topology's only domain: issues with no deferral context, so
+    /// L2/control accesses execute in place, and delivers barrier wakes
+    /// inside the event step that published them.
+    solo: bool,
+    /// [`ClusterMem::wake_epoch`] as of the last wake delivery (solo).
+    seen_wakes: u64,
 }
 
 /// Per-window scheduling options the coordinator hands each
@@ -208,7 +216,19 @@ impl DomainEngine {
             nxt_count: 0,
             now: 0,
             paused: false,
+            solo: false,
+            seen_wakes: 0,
         }
+    }
+
+    /// Builds the solo engine of a single-group topology over harts
+    /// `0..cores` (no reachability map: solo windows never extend).
+    pub(super) fn solo(sim: &CycleSim, cores: u32) -> Self {
+        debug_assert_eq!(sim.topology().num_domains(), 1, "solo engines cover single-group topologies");
+        let mut engine = Self::new(sim, 0, cores, None);
+        engine.solo = true;
+        engine.seen_wakes = sim.memory().wake_epoch();
+        engine
     }
 
     /// Simulates the window `[start, end)`: processes every queued event
@@ -243,6 +263,7 @@ impl DomainEngine {
         loop {
             // Process every core scheduled for `self.now`, in ascending
             // local id — which is ascending global id within the domain.
+            let mut waker: Option<u32> = None;
             for w in 0..self.cur.len() {
                 let mut bits = std::mem::take(&mut self.cur[w]);
                 while bits != 0 {
@@ -252,29 +273,19 @@ impl DomainEngine {
                     let ctx = &mut self.ctxs[local as usize];
                     let mut defer =
                         Defer { domain: self.domain, topo: sim.topology(), outbox: &mut self.outbox };
+                    let defer = (!self.solo).then_some(&mut defer);
                     let issued = if opts.elide {
-                        sim.issue_quiescent(
-                            ctx,
-                            tables,
-                            &mut self.icaches,
-                            &mut self.banks,
-                            self.now,
-                            Some(&mut defer),
-                        )
+                        sim.issue_quiescent(ctx, tables, &mut self.icaches, &mut self.banks, self.now, defer)
                     } else {
-                        sim.issue_fast(
-                            ctx,
-                            tables,
-                            &mut self.icaches,
-                            &mut self.banks,
-                            self.now,
-                            Some(&mut defer),
-                        )
+                        sim.issue_fast(ctx, tables, &mut self.icaches, &mut self.banks, self.now, defer)
                     };
-                    if let Err(trap) = issued {
-                        self.trap = Some((self.now, self.core_base + local, trap));
-                        return self.now;
-                    }
+                    let did_mem = match issued {
+                        Ok(did_mem) => did_mem,
+                        Err(trap) => {
+                            self.trap = Some((self.now, self.core_base + local, trap));
+                            return self.now;
+                        }
+                    };
                     match ctx.state {
                         CoreState::Ready => {
                             let wake = ctx.wake_at.max(self.now + 1);
@@ -288,10 +299,19 @@ impl DomainEngine {
                         CoreState::Parked => self.parked.push(local),
                         CoreState::Done => {}
                     }
-                    // No mid-epoch wake check: wake-all publications go
-                    // through the (deferred) control-region store, so the
-                    // wake channel can only move at epoch boundaries.
+                    // A wake-all publication is a store to the control
+                    // region, so it can only happen inside a memory-class
+                    // instruction. Sharded domains defer that store: their
+                    // wake channel moves only at epoch boundaries.
+                    if self.solo && did_mem && waker.is_none() && sim.memory().wake_epoch() != self.seen_wakes
+                    {
+                        waker = Some(local);
+                    }
                 }
+            }
+            if let Some(waker) = waker {
+                self.seen_wakes = sim.memory().wake_epoch();
+                self.deliver_wakes(sim.memory(), self.now, Some(waker));
             }
 
             // Sole-active trim: a deferred request must be replayed at
@@ -429,27 +449,30 @@ impl DomainEngine {
     }
 
     /// Delivers pending barrier wakes to this domain's parked cores at
-    /// the epoch boundary `at` (the cycle the next epoch starts): the
-    /// sleeper observes the wake at `at` and can issue from `at + 1`.
-    pub(super) fn deliver_wakes(&mut self, mem: &ClusterMem, at: u64) {
+    /// cycle `at`: an epoch boundary (the cycle the next epoch starts),
+    /// or — solo — the event step in which local core `waker` published
+    /// the wake. The sleeper observes the wake at `at` and can issue from
+    /// the cycle after. A sleeper at or before the waker observes it one
+    /// cycle later: issue order had already passed it when the wake was
+    /// published (the full scan sees it on its next pass).
+    pub(super) fn deliver_wakes(&mut self, mem: &ClusterMem, at: u64, waker: Option<u32>) {
         let mut parked = std::mem::take(&mut self.parked);
         parked.retain(|&local| {
-            let core = self.core_base + local;
-            if !mem.wake_pending(core) {
+            if !mem.take_wake(self.core_base + local) {
                 return true;
             }
-            let _ = mem.take_wake(core);
+            let observed = if waker.is_some_and(|w| local <= w) { at + 1 } else { at };
             let ctx = &mut self.ctxs[local as usize];
-            ctx.stats.stall_wfi += at.saturating_sub(ctx.parked_at);
+            ctx.stats.stall_wfi += observed.saturating_sub(ctx.parked_at);
             ctx.state = CoreState::Ready;
-            ctx.wake_at = at + 1;
+            ctx.wake_at = observed + 1;
             // A woken core re-enters the horizon: it can issue from
-            // `at + 1` and its nearest memory access is `dist(pc)`
+            // `wake_at` and its nearest memory access is `dist(pc)`
             // instructions downstream of the `wfi`.
             if let Some(reach) = &self.reach {
-                self.horizon = self.horizon.min((at + 1).saturating_add(reach.dist(ctx.cpu.pc())));
+                self.horizon = self.horizon.min(ctx.wake_at.saturating_add(reach.dist(ctx.cpu.pc())));
             }
-            self.wheel.push(at, at + 1, local);
+            self.wheel.push(at, ctx.wake_at, local);
             false
         });
         self.parked = parked;

@@ -229,7 +229,7 @@ fn boundary(
         complete(x, &mut domains[source].ctxs[local], granted)?;
     }
     for d in domains.iter_mut() {
-        d.deliver_wakes(sim.memory(), end);
+        d.deliver_wakes(sim.memory(), end, None);
     }
     Ok(())
 }
@@ -390,6 +390,8 @@ struct Outcome {
     next: Next,
     /// A trap raised by worker 0's serial replay.
     serial_trap: Option<Trap>,
+    /// This worker's scheduling telemetry.
+    tally: EpochReport,
 }
 
 /// Per-worker message endpoints: its two inboxes, plus its end of the
@@ -411,11 +413,17 @@ enum SerialPort {
 
 /// Drives the sharded engine to completion on `threads` workers (clamped
 /// to `1..=num_domains`); worker 0 is the calling thread. Results are
-/// bit-identical for every thread count.
-pub(super) fn run_sharded(sim: &CycleSim, cores: u32, threads: usize) -> Result<CycleResult, Trap> {
+/// bit-identical for every thread count. Returns the result together
+/// with the workers' summed telemetry (of trapped and cancelled runs
+/// too).
+pub(super) fn run_sharded(
+    sim: &CycleSim,
+    cores: u32,
+    threads: usize,
+) -> (Result<CycleResult, Trap>, EpochReport) {
     let topo = sim.topology();
     let ndom = topo.num_domains() as usize;
-    debug_assert!(ndom > 1, "single-domain topologies use the plain event engine");
+    debug_assert!(ndom > 1, "single-domain topologies run a solo engine (`CycleSim::run`)");
     let threads = threads.clamp(1, ndom);
     let (lane_tx, lane_rx): (Vec<_>, Vec<_>) = (0..threads).map(|_| channel()).unzip();
     let (reply_tx, reply_rx): (Vec<_>, Vec<_>) = (0..threads).map(|_| channel()).unzip();
@@ -466,9 +474,13 @@ pub(super) fn run_sharded(sim: &CycleSim, cores: u32, threads: usize) -> Result<
 
     let next = outcomes[0].next;
     let serial_trap = outcomes[0].serial_trap;
+    let mut report = EpochReport::default();
+    for o in &outcomes {
+        report.add(&o.tally);
+    }
     let mut domains: Vec<DomainEngine> = outcomes.into_iter().flat_map(|o| o.domains).collect();
     domains.sort_by_key(|d| d.domain);
-    match next {
+    let res = match next {
         Next::Trap => {
             // The first trap in global `(issue cycle, core id)` order — the
             // one the sequential full scan would hit first, domains being
@@ -482,7 +494,8 @@ pub(super) fn run_sharded(sim: &CycleSim, cores: u32, threads: usize) -> Result<
             res.cancelled = matches!(next, Next::Cancel);
             Ok(res)
         }
-    }
+    };
+    (res, report)
 }
 
 /// One worker's loop: owns domains `t, t + threads, …` and
@@ -691,8 +704,7 @@ fn work(sh: &Shared, t: usize, mb: Mailbox, mut domains: Vec<DomainEngine>) -> O
             stop => break stop,
         }
     };
-    sim.epoch_counters.add(&tally);
-    Outcome { domains, next, serial_trap }
+    Outcome { domains, next, serial_trap, tally }
 }
 
 /// Scratch of a k-way merge over `(cycle, core)`-sorted runs.

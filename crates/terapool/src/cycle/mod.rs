@@ -25,40 +25,51 @@
 //!
 //! # Scheduling
 //!
-//! Three schedulers drive the same per-instruction model:
+//! One event-driven engine drives the per-instruction model, and one
+//! full-scan scheduler is its reference:
 //!
-//! * [`CycleSim::run`] — the **event-driven** engine: a double-buffered
-//!   ready bitmap for the dominant issue-again-next-cycle case backed by a
-//!   calendar-wheel queue for multi-cycle wakes, so an event step touches
-//!   only the cores that can actually issue. Parked (`wfi`) cores leave
-//!   the queue entirely and are re-queued through the memory's wake
-//!   notification channel ([`ClusterMem::wake_epoch`]), never polled. The
-//!   hot path additionally runs from the pre-lowered micro-op table
-//!   ([`terasim_iss::uop`]: operand indices, timing metadata and a direct
-//!   kernel pointer per instruction, resolved once at load), shift-based
-//!   bank decoding, a tile-pair hop table, and primes the memory view
-//!   with the bank decode so the kernel never re-derives it.
-//! * [`CycleSim::run_parallel`] — the **epoch-sharded** engine: each
-//!   *group* of the topology is an independent arbitration domain
-//!   ([`domain::DomainEngine`], one event-driven engine per group) and
-//!   domains advance in lockstep epochs sized to the minimum cross-group
-//!   latency ([`Topology::CROSS_GROUP_HOP`]). Intra-group traffic — the
-//!   common case by construction of the tile-local sequential address
-//!   map — is simulated entirely inside a domain with no synchronization;
-//!   cross-group accesses are deferred into per-domain mailboxes that the
-//!   epoch driver ([`epoch`]) replays at each boundary in global
-//!   `(issue cycle, core id)` order — in parallel, each worker replaying
-//!   the requests aimed at its own banks and then the replies to its own
-//!   cores, with a serial fallback for L2/control traffic. Results are
-//!   bit-identical for every host thread count, including 1.
-//! * [`CycleSim::run_naive`] — the full-scan scheduler, retained as the
+//! * [`domain::DomainEngine`] — the **event-driven** engine of one
+//!   arbitration domain (a *group* of the topology): a double-buffered
+//!   ready bitmap for the dominant issue-again-next-cycle case backed by
+//!   a calendar-wheel queue for multi-cycle wakes, so an event step
+//!   touches only the cores that can actually issue. Parked (`wfi`)
+//!   cores leave the queue entirely and are re-queued by wake delivery,
+//!   never polled. The hot path additionally runs from the pre-lowered
+//!   micro-op table ([`terasim_iss::uop`]: operand indices, timing
+//!   metadata and a direct kernel pointer per instruction, resolved once
+//!   at load), shift-based bank decoding, a tile-pair hop table, and
+//!   primes the memory view with the bank decode so the kernel never
+//!   re-derives it. It runs in one of two ways:
+//!   * **solo**, on single-group topologies ([`CycleSim::run`]): the
+//!     topology's only domain, with nothing deferred and barrier wakes
+//!     delivered inside the event step that published them (found
+//!     through [`ClusterMem::wake_epoch`]). `run` drives it in
+//!     fixed-length windows and polls the cancel token between them;
+//!     the windows never change results.
+//!   * **epoch-sharded**, on multi-group topologies ([`CycleSim::run`],
+//!     [`CycleSim::run_parallel`]): one engine per group, advancing in
+//!     lockstep epochs sized to the minimum cross-group latency
+//!     ([`Topology::CROSS_GROUP_HOP`]). Intra-group traffic — the common
+//!     case by construction of the tile-local sequential address map —
+//!     is simulated entirely inside a domain with no synchronization;
+//!     cross-group accesses are deferred into per-domain mailboxes that
+//!     the epoch driver ([`epoch`]) replays at each boundary in global
+//!     `(issue cycle, core id)` order — in parallel, each worker
+//!     replaying the requests aimed at its own banks and then the
+//!     replies to its own cores, with a serial fallback for L2/control
+//!     traffic. Results are bit-identical for every host thread count,
+//!     including 1.
+//! * [`CycleSim::run_naive`] — the full-scan scheduler, the single
 //!   semantic reference: every core context is rescanned on every event
-//!   step. The `differential`/`parallel` integration tests pin all three
-//!   engines to bit-identical [`CycleStats`] and memory contents.
+//!   step, through its own I$ model, issue path and epoch boundary
+//!   replay, independent of the event engine. The
+//!   `differential`/`parallel`/`epochs` integration tests pin the engine
+//!   to it (bit-identical [`CycleStats`] and memory contents), and the
+//!   `golden_cycle` tests pin both to recorded absolute results.
 //!
 //! # The epoch-deferred model (multi-group topologies)
 //!
-//! On topologies with more than one group, **all** schedulers implement
+//! On topologies with more than one group, both schedulers implement
 //! the same *epoch-deferred* semantics so they stay mutually
 //! bit-identical while the sharded engine runs groups concurrently:
 //!
@@ -80,10 +91,12 @@
 //!   wake-ups are delivered at epoch boundaries. Nothing mutates those
 //!   regions inside an epoch.
 //!
-//! On single-group topologies every access is domain-local, nothing is
-//! ever deferred, and the engines behave exactly as before.
+//! On single-group topologies every access is domain-local and nothing
+//! is ever deferred: both schedulers run one unbounded epoch, and a
+//! barrier wake is observed as soon as the issue order reaches the
+//! sleeper — in the publishing cycle by cores after the waker, one
+//! cycle later by cores before it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use terasim_iss::uop::UopProgram;
@@ -100,7 +113,7 @@ mod domain;
 mod epoch;
 mod reach;
 
-use domain::Wheel;
+use domain::{DomainEngine, WindowOpts};
 pub(crate) use reach::ReachMap;
 
 /// Per-core counters of the cycle-accurate run, matching the Figure 8
@@ -158,9 +171,9 @@ pub struct CycleResult {
     /// Hart ids stopped by the [`CycleSim::max_instructions`] safety net
     /// rather than a clean guest exit (empty when no budget tripped).
     pub budgeted: Vec<u32>,
-    /// The run was abandoned at a safe point (event step or epoch
-    /// boundary) because its [`CancelToken`](crate::CancelToken) was
-    /// raised; statistics are partial.
+    /// The run was abandoned at a safe point (between windows, scan
+    /// passes or epochs) because its [`CancelToken`](crate::CancelToken)
+    /// was raised; statistics are partial.
     pub cancelled: bool,
 }
 
@@ -245,81 +258,19 @@ impl EpochReport {
             100.0 * self.extended as f64 / self.windows as f64
         }
     }
-}
 
-/// Interior-mutable accumulator behind [`EpochReport`]: each worker of a
-/// sharded run tallies locally and adds its totals once, when it stops
-/// (relaxed ordering suffices because the snapshot is taken after the
-/// run joins).
-#[derive(Debug, Default)]
-struct EpochCounters {
-    windows: AtomicU64,
-    extended: AtomicU64,
-    trimmed: AtomicU64,
-    cycles: AtomicU64,
-    run_ns: AtomicU64,
-    wait_ns: AtomicU64,
-    replay_ns: AtomicU64,
-    serial_ns: AtomicU64,
-    serial_boundaries: AtomicU64,
-    replayed: AtomicU64,
-}
-
-impl EpochCounters {
-    fn fields(&self) -> [&AtomicU64; 10] {
-        [
-            &self.windows,
-            &self.extended,
-            &self.trimmed,
-            &self.cycles,
-            &self.run_ns,
-            &self.wait_ns,
-            &self.replay_ns,
-            &self.serial_ns,
-            &self.serial_boundaries,
-            &self.replayed,
-        ]
-    }
-
-    fn reset(&self) {
-        for f in self.fields() {
-            f.store(0, Ordering::Relaxed);
-        }
-    }
-
-    fn add(&self, r: &EpochReport) {
-        let values = [
-            r.windows,
-            r.extended,
-            r.trimmed,
-            r.cycles,
-            r.run_ns,
-            r.wait_ns,
-            r.replay_ns,
-            r.serial_ns,
-            r.serial_boundaries,
-            r.replayed,
-        ];
-        for (f, v) in self.fields().into_iter().zip(values) {
-            f.fetch_add(v, Ordering::Relaxed);
-        }
-    }
-
-    fn snapshot(&self) -> EpochReport {
-        let [windows, extended, trimmed, cycles, run_ns, wait_ns, replay_ns, serial_ns, serial_boundaries, replayed] =
-            self.fields().map(|f| f.load(Ordering::Relaxed));
-        EpochReport {
-            windows,
-            extended,
-            trimmed,
-            cycles,
-            run_ns,
-            wait_ns,
-            replay_ns,
-            serial_ns,
-            serial_boundaries,
-            replayed,
-        }
+    /// Adds another tally (one sharded worker's) into this one.
+    pub fn add(&mut self, other: &EpochReport) {
+        self.windows += other.windows;
+        self.extended += other.extended;
+        self.trimmed += other.trimmed;
+        self.cycles += other.cycles;
+        self.run_ns += other.run_ns;
+        self.wait_ns += other.wait_ns;
+        self.replay_ns += other.replay_ns;
+        self.serial_ns += other.serial_ns;
+        self.serial_boundaries += other.serial_boundaries;
+        self.replayed += other.replayed;
     }
 }
 
@@ -333,6 +284,11 @@ enum CoreState {
 /// Outstanding-request capacity of the Snitch LSU; a full queue
 /// back-pressures issue (`stall-lsu`).
 const LSU_DEPTH: usize = 4;
+
+/// Length (cycles) of the windows in which [`CycleSim::run`] drives a
+/// solo engine. The cancel token is polled between windows; their length
+/// never changes results.
+const SOLO_WINDOW: u64 = 1 << 12;
 
 struct CoreCtx<M> {
     cpu: Cpu,
@@ -644,16 +600,16 @@ pub struct CycleSim {
     /// The pool this job's memory returns to on drop (pooled jobs only —
     /// see [`CycleSim::from_pool`]).
     pool: Option<Arc<MemPool>>,
-    /// Cooperative cancellation flag, polled at event steps and epoch
-    /// boundaries.
+    /// Cooperative cancellation flag, polled between windows (solo
+    /// runs) and at epoch boundaries (sharded runs).
     cancel: Option<CancelToken>,
     /// Set when a run was cancelled mid-flight: the arena holds partial
     /// writes from an abandoned job, so drop quarantines instead of
     /// releasing.
     tainted: bool,
-    /// Scheduling telemetry of the most recent sharded run (reset at the
-    /// start of each one) — see [`CycleSim::epoch_report`].
-    epoch_counters: EpochCounters,
+    /// Scheduling telemetry of the most recent sharded run — see
+    /// [`CycleSim::epoch_report`].
+    epoch_report: EpochReport,
 }
 
 impl std::fmt::Debug for CycleSim {
@@ -705,12 +661,12 @@ impl CycleSim {
             pool: None,
             cancel: None,
             tainted: false,
-            epoch_counters: EpochCounters::default(),
+            epoch_report: EpochReport::default(),
         }
     }
 
-    /// Attaches a cooperative [`CancelToken`], polled at event steps and
-    /// epoch boundaries: when raised, the run returns its partial result
+    /// Attaches a cooperative [`CancelToken`], polled between windows and
+    /// at epoch boundaries: when raised, the run returns its partial result
     /// with [`CycleResult::cancelled`] set and the job's memory is
     /// quarantined rather than recycled on drop.
     pub fn set_cancel(&mut self, cancel: CancelToken) {
@@ -774,13 +730,9 @@ impl CycleSim {
     }
 
     /// One core context on the engine-fast memory view (used per domain
-    /// by the sharded engine).
+    /// by the event engine).
     fn make_ctx(&self, core: u32) -> CoreCtx<TurboMem> {
         self.fresh_ctx(core, self.mem().turbo_view(core))
-    }
-
-    fn make_ctxs<M: Memory>(&self, cores: u32, view: impl Fn(u32) -> M) -> Vec<CoreCtx<M>> {
-        (0..cores).map(|core| self.fresh_ctx(core, view(core))).collect()
     }
 
     fn result_of<M>(ctxs: &[CoreCtx<M>]) -> CycleResult {
@@ -792,7 +744,7 @@ impl CycleSim {
         CycleResult { per_core, cycles, deadlocked: !parked.is_empty(), parked, budgeted, cancelled: false }
     }
 
-    /// Runs harts `0..cores` to completion with the event-driven scheduler.
+    /// Runs harts `0..cores` to completion with the event-driven engine.
     ///
     /// Within a cycle, cores issue in core-id order (the RTL's round-robin
     /// arbitration collapsed to a fixed priority — deterministic and fair
@@ -800,18 +752,14 @@ impl CycleSim {
     /// but their *timing* uses the bank grant time; for data-race-free
     /// guests the two are indistinguishable.
     ///
-    /// Only cores whose `wake_at` has arrived are touched on an event step:
-    /// a calendar-wheel ready queue keyed on `(wake_at, core)` replays the
-    /// naive scan's exact issue order, and parked cores re-enter the queue
-    /// through the memory wake channel instead of being polled. Produces
-    /// bit-identical [`CycleStats`] and memory contents to
-    /// [`CycleSim::run_naive`].
-    ///
-    /// On multi-group topologies this runs the epoch-sharded engine on
-    /// the calling thread (see [`CycleSim::run_parallel`] and the
-    /// module-level *epoch-deferred model* notes); results stay
-    /// bit-identical to `run_parallel` at every thread count and to
-    /// `run_naive`.
+    /// On single-group topologies the topology's only domain runs as a
+    /// solo event-driven domain engine, driven here in fixed-length
+    /// windows with a cancel-token poll between them. On
+    /// multi-group topologies this runs the epoch-sharded engine on the
+    /// calling thread (see [`CycleSim::run_parallel`] and the
+    /// module-level *epoch-deferred model* notes). Either way the result —
+    /// per-core [`CycleStats`], makespan, parked set and memory contents —
+    /// is bit-identical to [`CycleSim::run_naive`].
     ///
     /// # Errors
     ///
@@ -826,158 +774,56 @@ impl CycleSim {
         if topo.num_domains() > 1 {
             return self.run_sharded(cores, 1);
         }
-        let mut ctxs = self.make_ctxs(cores, |core| self.mem().turbo_view(core));
         let tables = self.arts.cycle_tables();
-        let mut icaches: Vec<FastICache> =
-            (0..topo.num_tiles()).map(|_| FastICache::new(topo.icache_bytes, topo.icache_line)).collect();
-        let mut banks = DomainBanks::whole_cluster(topo);
-
-        let mut wheel = Wheel::new(cores);
-        let words = wheel.words;
-        // Double-buffered ready bitmaps: `cur` holds the cores issuing at
-        // `now`, `nxt` collects the dominant wake-next-cycle case with one
-        // OR instead of a full wheel round trip; only wakes two or more
-        // cycles out take the wheel.
-        let mut cur: Vec<u64> = vec![0; words];
-        let mut nxt: Vec<u64> = vec![0; words];
-        let mut nxt_count: u32 = 0;
-        let mut parked: Vec<u32> = Vec::new();
-        let mut now: u64 = 0;
-        for core in 0..cores {
-            cur[(core / 64) as usize] |= 1u64 << (core % 64); // all issue at cycle 0
-        }
-        let mut seen_epoch = self.mem().wake_epoch();
-        let mut cancelled = false;
-
-        loop {
-            // Safe point: abandon the job between event steps if its token
-            // was raised (untaken `None` branch when no token is attached,
-            // so the uncancelled hot path pays one predictable test per
-            // event step, not per instruction).
+        let mut engine = DomainEngine::solo(self, cores);
+        let opts = WindowOpts { epoch: SOLO_WINDOW, elide: false, trim: false };
+        let mut start = 0;
+        let cancelled = loop {
+            // Safe point: abandon the job between windows if its token
+            // was raised.
             if self.cancel_requested() {
-                cancelled = true;
-                break;
+                break true;
             }
-            // Process every core scheduled for `now`, in ascending id.
-            let mut min_waker: Option<u32> = None;
-            for w in 0..words {
-                let mut bits = std::mem::take(&mut cur[w]);
-                while bits != 0 {
-                    let bit = bits & bits.wrapping_neg();
-                    let core = (w * 64) as u32 + bits.trailing_zeros();
-                    bits ^= bit;
-                    let ctx = &mut ctxs[core as usize];
-                    let did_mem = self.issue_fast(ctx, tables, &mut icaches, &mut banks, now, None)?;
-                    match ctx.state {
-                        CoreState::Ready => {
-                            // `.max(now + 1)` mirrors the naive scan's
-                            // `next_event.max(now + 1)`: a degenerate model
-                            // (e.g. `icache_refill == 0`) may leave
-                            // `wake_at == now`, which must retry next
-                            // cycle, not re-enter the current one.
-                            let wake = ctx.wake_at.max(now + 1);
-                            if wake == now + 1 {
-                                nxt[w] |= bit;
-                                nxt_count += 1;
-                            } else {
-                                wheel.push(now, wake, core);
-                            }
-                        }
-                        CoreState::Parked => parked.push(core),
-                        CoreState::Done => {}
-                    }
-                    // Wake-all publications can only happen inside a
-                    // memory-class instruction (a store to the control
-                    // region), so the epoch check is gated on `did_mem`.
-                    if did_mem && min_waker.is_none() && self.mem().wake_epoch() != seen_epoch {
-                        min_waker = Some(core);
-                    }
-                }
+            let end = engine.run_epoch(self, tables, start, start + SOLO_WINDOW, &opts);
+            if let Some((_, _, trap)) = engine.trap {
+                return Err(trap);
             }
-
-            // Wake delivery. The naive scan observes a pending wake when
-            // its single pass reaches the parked core: cores *after* the
-            // waker see it in the same pass (cycle `now`), cores *before*
-            // it one pass later (`now + 1`). Replay exactly that.
-            if let Some(waker) = min_waker {
-                seen_epoch = self.mem().wake_epoch();
-                parked.retain(|&core| {
-                    if !self.mem().wake_pending(core) {
-                        return true;
-                    }
-                    let _ = self.mem().take_wake(core);
-                    let ctx = &mut ctxs[core as usize];
-                    let observed = if core > waker { now } else { now + 1 };
-                    ctx.stats.stall_wfi += observed.saturating_sub(ctx.parked_at);
-                    ctx.state = CoreState::Ready;
-                    ctx.wake_at = observed + 1;
-                    wheel.push(now, ctx.wake_at, core);
-                    false
-                });
+            start = engine.next_event(end);
+            // No queued event: all cores are done, or only parked cores
+            // remain (guest deadlock, surfaced via `CycleResult::deadlocked`).
+            if start == u64::MAX {
+                break false;
             }
-
-            // Advance to the next cycle with work.
-            if nxt_count > 0 {
-                now += 1;
-                std::mem::swap(&mut cur, &mut nxt);
-                nxt_count = 0;
-                wheel.migrate(now);
-                wheel.drain_slot_into(now, &mut cur);
-                continue;
-            }
-            // Nothing due next cycle: the nearest work lives in the wheel
-            // (or beyond its horizon in the overflow heap).
-            wheel.migrate(now);
-            if wheel.pending == 0 {
-                match wheel.next_overflow() {
-                    Some(at) => {
-                        now = at;
-                        wheel.migrate(now);
-                    }
-                    // Wheel and overflow empty: all cores are done, or
-                    // only parked cores remain (guest deadlock, surfaced
-                    // via `CycleResult::deadlocked`).
-                    None => break,
-                }
-            } else {
-                now += 1;
-            }
-            while wheel.slot_empty(now) {
-                now += 1;
-            }
-            wheel.drain_slot_into(now, &mut cur);
-        }
-
-        if cancelled {
-            self.tainted = true;
-        }
-        let mut res = Self::result_of(&ctxs);
+        };
+        self.tainted |= cancelled;
+        let mut res = Self::result_of(&engine.ctxs);
         res.cancelled = cancelled;
         Ok(res)
     }
 
-    /// Runs the epoch-sharded engine, tainting this job if the run was
-    /// cancelled (the sharded driver only sees `&CycleSim`).
+    /// Runs the epoch-sharded engine, recording its telemetry and
+    /// tainting this job if the run was cancelled (the sharded driver
+    /// only sees `&CycleSim`).
     fn run_sharded(&mut self, cores: u32, threads: usize) -> Result<CycleResult, Trap> {
-        self.epoch_counters.reset();
-        let res = epoch::run_sharded(self, cores, threads)?;
-        if res.cancelled {
-            self.tainted = true;
-        }
+        let (res, report) = epoch::run_sharded(self, cores, threads);
+        self.epoch_report = report;
+        let res = res?;
+        self.tainted |= res.cancelled;
         Ok(res)
     }
 
     /// Scheduling telemetry of the most recent sharded run
     /// ([`CycleSim::run_parallel`], or [`CycleSim::run`] on multi-group
-    /// topologies): window counts, extension/trim tallies and cycle
-    /// coverage, plus the host time of each window phase (run, barrier
-    /// wait, parallel replay, serial replay) and the serial-fallback
-    /// count. All-zero before the first sharded run; a fixed-cadence
-    /// run ([`terasim_iss::EpochMode::Fixed`]) reports every window as a
-    /// plain base epoch. [`CycleSim::run_naive`] keeps its own epoch
-    /// loop and does not touch the report.
+    /// topologies), trapped and cancelled runs included: window counts,
+    /// extension/trim tallies and cycle coverage, plus the host time of
+    /// each window phase (run, barrier wait, parallel replay, serial
+    /// replay) and the serial-fallback count. All-zero before the first
+    /// sharded run, and so always on single-group topologies (solo runs
+    /// have no epochs); a fixed-cadence run
+    /// ([`terasim_iss::EpochMode::Fixed`]) reports every window as a plain
+    /// base epoch. [`CycleSim::run_naive`] does not touch the report.
     pub fn epoch_report(&self) -> EpochReport {
-        self.epoch_counters.snapshot()
+        self.epoch_report
     }
 
     /// Runs harts `0..cores` with the epoch-sharded engine, distributing
@@ -989,13 +835,13 @@ impl CycleSim {
     /// synchronization and cross-group accesses are exchanged at epoch
     /// boundaries (module-level docs). The result — per-core
     /// [`CycleStats`], makespan, deadlock report and memory contents — is
-    /// **bit-identical for every `threads` value** and to [`CycleSim::run`]
-    /// and [`CycleSim::run_naive`], because the schedule inside an epoch
+    /// **bit-identical for every `threads` value** and to
+    /// [`CycleSim::run_naive`], because the schedule inside an epoch
     /// never depends on thread interleaving.
     ///
     /// `threads` is clamped to `1..=num_domains`; on single-group
-    /// topologies there is nothing to shard and the event-driven engine
-    /// runs on the calling thread.
+    /// topologies there is nothing to shard and this is [`CycleSim::run`]
+    /// (the solo engine on the calling thread).
     ///
     /// # Errors
     ///
@@ -1014,14 +860,18 @@ impl CycleSim {
         self.run_sharded(cores, threads.max(1))
     }
 
-    /// Runs harts `0..cores` with the original full-scan scheduler.
+    /// Runs harts `0..cores` with the full-scan reference scheduler.
     ///
-    /// Retained as the semantic baseline: every event step rescans every
-    /// core context, exactly as the seed engine did (on multi-group
-    /// topologies the scan is epoch-clamped so it implements the same
-    /// epoch-deferred model as the other engines, with its own
-    /// independent boundary replay). Use [`CycleSim::run`] for anything
-    /// but differential validation and speedup measurement.
+    /// The one semantic oracle of the cycle model: every scan pass
+    /// revisits every core context, exactly as the seed engine did,
+    /// through its own I$ model, issue path and boundary replay — nothing
+    /// shared with the event engine's scheduling. The scan is
+    /// epoch-clamped: on multi-group topologies it implements the
+    /// epoch-deferred model with epochs of [`Topology::epoch_len`] cycles;
+    /// on single-group ones the epoch is unbounded, nothing is deferred,
+    /// and a parked core picks up its wake as soon as a pass reaches it.
+    /// Use [`CycleSim::run`] for anything but differential validation and
+    /// speedup measurement.
     ///
     /// # Errors
     ///
@@ -1033,83 +883,13 @@ impl CycleSim {
     pub fn run_naive(&mut self, cores: u32) -> Result<CycleResult, Trap> {
         let topo = self.arts.topology();
         assert!(cores <= topo.num_cores(), "core count out of range");
-        if topo.num_domains() > 1 {
-            return self.run_naive_epochs(cores);
-        }
-        let mut ctxs = self.make_ctxs(cores, |core| self.mem().core_view(core));
+        let solo = topo.num_domains() == 1;
+        let epoch = if solo { u64::MAX } else { topo.epoch_len() };
+        let mut ctxs: Vec<CoreCtx<CoreMem>> =
+            (0..cores).map(|core| self.fresh_ctx(core, self.mem().core_view(core))).collect();
         let mut icaches: Vec<ICache> =
             (0..topo.num_tiles()).map(|_| ICache::new(topo.icache_bytes, topo.icache_line)).collect();
         let mut banks = DomainBanks::whole_cluster(topo);
-
-        let mut now: u64 = 0;
-        let mut cancelled = false;
-        loop {
-            // Safe point: abandon the job between scan passes on a raised
-            // cancel token.
-            if self.cancel_requested() {
-                cancelled = true;
-                break;
-            }
-            let mut alive = false;
-            let mut next_event = u64::MAX;
-
-            for ctx in ctxs.iter_mut() {
-                match ctx.state {
-                    CoreState::Done => continue,
-                    CoreState::Parked => {
-                        alive = true;
-                        if self.mem().wake_pending(ctx.cpu.hart_id()) {
-                            let _ = self.mem().take_wake(ctx.cpu.hart_id());
-                            ctx.stats.stall_wfi += now.saturating_sub(ctx.parked_at);
-                            ctx.state = CoreState::Ready;
-                            ctx.wake_at = now + 1;
-                            next_event = next_event.min(ctx.wake_at);
-                        }
-                        continue;
-                    }
-                    CoreState::Ready => {}
-                }
-                alive = true;
-                if ctx.wake_at > now {
-                    next_event = next_event.min(ctx.wake_at);
-                    continue;
-                }
-
-                self.issue_one(ctx, &mut icaches, &mut banks, now, None)?;
-                next_event = next_event.min(ctx.wake_at.max(now + 1));
-            }
-
-            if !alive {
-                break;
-            }
-            if next_event == u64::MAX {
-                // Only parked cores remain and nobody will wake them:
-                // guest deadlock; report what we have.
-                break;
-            }
-            now = next_event.max(now + 1);
-        }
-
-        if cancelled {
-            self.tainted = true;
-        }
-        let mut res = Self::result_of(&ctxs);
-        res.cancelled = cancelled;
-        Ok(res)
-    }
-
-    /// The full-scan reference scheduler under the epoch-deferred model
-    /// (multi-group topologies): the seed scan loop, clamped to lockstep
-    /// epochs, with its **own** boundary replay — independent of the
-    /// sharded engine's coordinator — so the differential tests exercise
-    /// two separate implementations of the deferred semantics.
-    fn run_naive_epochs(&mut self, cores: u32) -> Result<CycleResult, Trap> {
-        let topo = self.arts.topology();
-        let mut ctxs = self.make_ctxs(cores, |core| self.mem().core_view(core));
-        let mut icaches: Vec<ICache> =
-            (0..topo.num_tiles()).map(|_| ICache::new(topo.icache_bytes, topo.icache_line)).collect();
-        let mut banks = DomainBanks::whole_cluster(topo);
-        let epoch = topo.epoch_len();
         let mut mailbox: Vec<XRequest> = Vec::new();
 
         let mut now: u64 = 0;
@@ -1131,11 +911,20 @@ impl CycleSim {
             for ctx in ctxs.iter_mut() {
                 match ctx.state {
                     CoreState::Done => continue,
-                    // Parked cores wake only at epoch boundaries: the
-                    // wake-all register is a (deferred) control store, so
-                    // the wake bits cannot move mid-epoch.
                     CoreState::Parked => {
                         alive = true;
+                        // One domain: the pass observes a wake when it
+                        // reaches the sleeper — in the publishing pass
+                        // after the waker, one pass later before it. With
+                        // several, the wake-all register is a (deferred)
+                        // control store, so wakes only move at epoch
+                        // boundaries.
+                        if solo && self.mem().take_wake(ctx.cpu.hart_id()) {
+                            ctx.stats.stall_wfi += now.saturating_sub(ctx.parked_at);
+                            ctx.state = CoreState::Ready;
+                            ctx.wake_at = now + 1;
+                            next_event = next_event.min(ctx.wake_at);
+                        }
                         continue;
                     }
                     CoreState::Ready => {}
@@ -1147,7 +936,7 @@ impl CycleSim {
                 }
                 let mut defer =
                     Defer { domain: topo.domain_of_core(ctx.cpu.hart_id()), topo, outbox: &mut mailbox };
-                self.issue_one(ctx, &mut icaches, &mut banks, now, Some(&mut defer))?;
+                self.issue_one(ctx, &mut icaches, &mut banks, now, (!solo).then_some(&mut defer))?;
                 next_event = next_event.min(ctx.wake_at.max(now + 1));
             }
             if !alive && mailbox.is_empty() {
@@ -1163,6 +952,11 @@ impl CycleSim {
             // (The last retiring pass always has `alive == true`, so a
             // non-empty mailbox normally reaches the boundary below; the
             // guard above keeps that true even for degenerate schedules.)
+            if solo {
+                // An unbounded epoch has no boundary: only parked cores
+                // remain and nobody will wake them (guest deadlock).
+                break;
+            }
 
             // Epoch boundary: replay the mailbox in (cycle, core) order
             // against the global reservation books, then deliver wakes.
@@ -1223,8 +1017,7 @@ impl CycleSim {
                 }
             }
             for ctx in ctxs.iter_mut() {
-                if ctx.state == CoreState::Parked && self.mem().wake_pending(ctx.cpu.hart_id()) {
-                    let _ = self.mem().take_wake(ctx.cpu.hart_id());
+                if ctx.state == CoreState::Parked && self.mem().take_wake(ctx.cpu.hart_id()) {
                     ctx.stats.stall_wfi += epoch_end.saturating_sub(ctx.parked_at);
                     ctx.state = CoreState::Ready;
                     ctx.wake_at = epoch_end + 1;
@@ -1247,9 +1040,7 @@ impl CycleSim {
             epoch_end = now / epoch * epoch + epoch;
         }
 
-        if cancelled {
-            self.tainted = true;
-        }
+        self.tainted |= cancelled;
         let mut res = Self::result_of(&ctxs);
         res.cancelled = cancelled;
         Ok(res)

@@ -359,7 +359,7 @@ impl ClusterMem {
 /// ports one arbitration domain owns, indexed locally so each domain's
 /// hot state is compact and exclusively its own during an epoch.
 ///
-/// The single-domain engines use a [`whole_cluster`](Self::whole_cluster)
+/// The reference scan uses a [`whole_cluster`](Self::whole_cluster)
 /// instance (bases 0), so every issue path arbitrates through the same
 /// structure.
 #[derive(Debug, Clone)]
@@ -373,7 +373,7 @@ pub(crate) struct DomainBanks {
 }
 
 impl DomainBanks {
-    /// Timing state covering every bank and tile (single-domain engines).
+    /// Timing state covering every bank and tile (the reference scan).
     pub fn whole_cluster(topo: Topology) -> Self {
         Self {
             bank_free: vec![0; topo.num_banks() as usize],
@@ -543,7 +543,8 @@ impl Memory for CoreMem {
 /// threads between the same pair of synchronization points (the relaxed
 /// atomics keep any violation memory-safe, just not reproducible):
 ///
-/// * single-domain engines run every hart on one host thread;
+/// * single-domain runs (the solo engine, the reference scan) run every
+///   hart on one host thread;
 /// * in the epoch-sharded engine **each bank's words are written only by
 ///   the worker that owns the bank's domain**: during a window a domain
 ///   touches only its own group's banks (cross-group and all L2/control

@@ -4,9 +4,11 @@
 //! serial rebuilds at every worker count — while its caching, eviction,
 //! backpressure, drain and fault-accounting behaviours hold exactly.
 
+use std::time::{Duration, Instant};
+
 use terasim::daemon::{
     open_loop, standard_mix, ArtifactCache, CachedScenario, Daemon, DaemonConfig, Rejected, ServeError,
-    ServeRequest, ServeResponse,
+    ServeRequest, ServeResponse, Ticket,
 };
 use terasim::experiments::{self, BatchConfig};
 use terasim::faults;
@@ -276,4 +278,49 @@ fn saturating_mixed_load_completes_with_cache_hits() {
     assert!(report.p99_ns >= report.p50_ns);
     assert_eq!(stats.completed, report.completed);
     assert!(stats.pools.recycled > 0, "pools must recycle across requests");
+}
+
+/// A scenario build that panics (an unsupported MIMO order, zero
+/// subcarriers) fails only its own request, with a build error that
+/// carries the panic message and is memoised like any build failure. No
+/// worker dies: valid requests queued behind twice as many bad ones as
+/// there are workers all complete, and every admitted request is
+/// accounted for.
+#[test]
+fn panicking_builds_fail_their_request_and_spare_the_workers() {
+    let workers = 2u64;
+    let daemon = Daemon::start(DaemonConfig { workers: workers as usize, ..DaemonConfig::default() });
+    let bad: Vec<Ticket> = (0..2 * workers)
+        .map(|i| {
+            let config = if i % 2 == 0 { scenario(5, 4, i) } else { scenario(4, 0, i) };
+            daemon.submit(symbol_req(config)).expect("admitted")
+        })
+        .collect();
+    let good: Vec<Ticket> =
+        (0..workers).map(|i| daemon.submit(symbol_req(scenario(4, 4, 40 + i))).expect("admitted")).collect();
+
+    // Poll rather than block, so a dead worker fails the test instead of
+    // hanging it.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let wait = |ticket: &Ticket| loop {
+        if let Some(done) = ticket.try_wait() {
+            return done;
+        }
+        assert!(Instant::now() < deadline, "request still pending at the deadline: a worker died");
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    for ticket in &bad {
+        let done = wait(ticket);
+        assert!(
+            matches!(&done.response, Err(ServeError::Build(msg)) if msg.contains("panicked")),
+            "a panicking build must fail its request as a build error, got {:?}",
+            done.response
+        );
+    }
+    for ticket in &good {
+        assert!(wait(ticket).response.expect("valid request after panicking builds").verified());
+    }
+    let stats = daemon.shutdown();
+    assert_eq!((stats.completed, stats.failed), (workers, 2 * workers));
+    assert_eq!(stats.completed + stats.failed, stats.submitted);
 }

@@ -5,15 +5,19 @@
 //! and unpooled, on both backends. The injected guests are real programs
 //! run through the real engines (see [`terasim::faults`]).
 
+use std::sync::Arc;
+use std::time::Duration;
 use terasim::experiments::{
     self, BatchConfig, CycleEngine, ParallelConfig, ParallelScenario, SymbolScenario,
 };
 use terasim::faults::{self, Fault, FaultPlan};
 use terasim::serve::{BatchRunner, JobError, RunPolicy};
+
 use terasim::CancelToken;
 use terasim_iss::Trap;
 use terasim_kernels::Precision;
-use terasim_terapool::Topology;
+use terasim_riscv::{csr, Assembler, Image, Reg, Segment};
+use terasim_terapool::{CycleSim, MemPool, SimArtifacts, Topology};
 
 /// Per-job fingerprint of a fast-mode symbol run.
 fn symbol_key(o: &experiments::BatchOutcome) -> (u64, u64, bool) {
@@ -287,4 +291,63 @@ fn panicked_jobs_quarantine_their_arena() {
     assert_eq!(key1, serial[1], "job 1 bit-identical on a fresh (post-quarantine) arena");
     assert_eq!(key2, serial[2], "job 2 bit-identical on the recycled arena");
     assert_eq!((quarantined1, quarantined2), (1, 1), "exactly the panicked job's arena was quarantined");
+}
+
+/// Mid-run cancellation of a single-group cycle run: another thread
+/// raises the token once the guest is visibly running, and the engine
+/// stops at its next safe point with `cancelled` set — well before the
+/// instruction budget that would otherwise end this endless guest — and
+/// a pooled run quarantines its arena instead of recycling it.
+#[test]
+fn cancelling_a_running_single_group_cycle_run_stops_it() {
+    const CORES: u32 = 16;
+    const TRIGGER: u32 = 10_000;
+    // Every hart counts up forever, storing the count to its own L1 word.
+    let mut a = Assembler::new(Topology::L2_BASE);
+    a.csrr(Reg::T0, csr::MHARTID);
+    a.slli(Reg::T1, Reg::T0, 2);
+    let top = a.new_label();
+    a.bind(top);
+    a.addi(Reg::T2, Reg::T2, 1);
+    a.sw(Reg::T2, 0x100, Reg::T1);
+    a.j(top);
+    let mut image = Image::new(Topology::L2_BASE);
+    image.push_segment(Segment::from_words(Topology::L2_BASE, &a.finish().unwrap()));
+    let topo = Topology::scaled(CORES);
+    assert_eq!(topo.num_domains(), 1);
+    let arts = SimArtifacts::build(topo, &image).unwrap();
+    let pool = MemPool::new(Arc::clone(&arts));
+
+    for pooled in [false, true] {
+        let mut sim =
+            if pooled { CycleSim::from_pool(&pool) } else { CycleSim::from_artifacts(Arc::clone(&arts)) };
+        // Safety net: an ignored token ends the run at this budget (and
+        // fails the asserts below) instead of hanging the test.
+        sim.max_instructions = 5_000_000;
+        let cancel = CancelToken::new();
+        sim.set_cancel(cancel.clone());
+        let mem = sim.memory().clone();
+        let (result, seen) = std::thread::scope(|scope| {
+            let watcher = scope.spawn(|| loop {
+                let count = mem.read_u32(0x100);
+                if count >= TRIGGER {
+                    cancel.cancel();
+                    return count;
+                }
+                std::thread::sleep(Duration::from_micros(100));
+            });
+            let result = sim.run(CORES).unwrap();
+            (result, watcher.join().unwrap())
+        });
+        assert!(result.cancelled, "pooled={pooled}: the run must stop on the raised token");
+        assert!(result.budgeted.is_empty(), "pooled={pooled}: stopped by the token, not the budget");
+        assert!(result.per_core.iter().all(|s| s.instructions > 0), "pooled={pooled}: every hart ran");
+        let last = sim.memory().read_u32(0x100);
+        assert!(
+            (seen..seen + 1_000_000).contains(&last),
+            "pooled={pooled}: hart 0 counted from {seen} to {last} after the cancel"
+        );
+        drop(sim);
+        assert_eq!(pool.stats().quarantined, u64::from(pooled), "pooled={pooled}: arena quarantined");
+    }
 }
