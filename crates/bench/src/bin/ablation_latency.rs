@@ -10,7 +10,7 @@
 //!
 //! Run: `cargo run -p terasim-bench --release --bin ablation_latency [--full]`
 
-use terasim::experiments::{CycleEngine, ParallelConfig, ParallelScenario};
+use terasim::experiments::{CycleEngine, Job, ParallelConfig, ParallelScenario};
 use terasim::serve::BatchRunner;
 use terasim_bench::Scale;
 use terasim_iss::{LatencyModel, RunConfig};
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let config = ParallelConfig { cores: scale.cores(), n, precision, seed: 7, unroll: 2 };
         let scenario = ParallelScenario::prepare(&config).map_err(|e| e.to_string())?;
         let reference = scenario
-            .run_cycle(CycleEngine::Parallel(ctx.claimable_threads()))
+            .run_cycle_seeded(CycleEngine::Parallel(ctx.claimable_threads()), config.seed)
             .map_err(|e| e.to_string())?
             .cycles;
         let run = |per_address: bool, load: u32| -> Result<u64, String> {
@@ -47,7 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 latency: LatencyModel { load, ..LatencyModel::default() },
                 ..RunConfig::default()
             };
-            Ok(scenario.run_fast_configured(1, rc).map_err(|e| e.to_string())?.cluster_cycles)
+            let job = Job { config: Some(rc), ..Job::new(config.seed) };
+            Ok(scenario.fast(1, job).map_err(|e| e.to_string())?.cluster_cycles)
         };
         Ok((n, precision, reference, run(false, 9)?, run(true, 9)?, run(false, 1)?))
     });

@@ -31,9 +31,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let rows = BatchRunner::new().run(configs, |ctx, config| -> Result<_, String> {
         let scenario = ParallelScenario::prepare(&config).map_err(|e| e.to_string())?;
-        let fast = scenario.run_fast(1).map_err(|e| e.to_string())?;
-        let cycle =
-            scenario.run_cycle(CycleEngine::Parallel(ctx.claimable_threads())).map_err(|e| e.to_string())?;
+        let fast = scenario.run_fast_seeded(1, config.seed).map_err(|e| e.to_string())?;
+        let cycle = scenario
+            .run_cycle_seeded(CycleEngine::Parallel(ctx.claimable_threads()), config.seed)
+            .map_err(|e| e.to_string())?;
         Ok((config, fast, cycle))
     });
     let mut last_n = 0;

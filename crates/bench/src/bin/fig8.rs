@@ -30,8 +30,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let rows = BatchRunner::new().run(configs, |ctx, config| -> Result<_, String> {
         let scenario = ParallelScenario::prepare(&config).map_err(|e| e.to_string())?;
-        let out =
-            scenario.run_cycle(CycleEngine::Parallel(ctx.claimable_threads())).map_err(|e| e.to_string())?;
+        let out = scenario
+            .run_cycle_seeded(CycleEngine::Parallel(ctx.claimable_threads()), config.seed)
+            .map_err(|e| e.to_string())?;
         Ok((config, out))
     });
     let mut lsu_shares = Vec::new();

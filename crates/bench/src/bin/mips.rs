@@ -53,7 +53,7 @@
 use std::time::{Duration, Instant};
 
 use terasim::experiments::{
-    self, BatchConfig, CycleEngine, ParallelConfig, ParallelScenario, SymbolScenario,
+    BatchConfig, CycleEngine, EngineOptions, Job, ParallelConfig, ParallelScenario, SymbolScenario,
 };
 use terasim::serve::BatchRunner;
 use terasim_bench::{arg_str, arg_u32, min_sec, Scale};
@@ -88,7 +88,7 @@ fn measure_engine(
 ) -> Result<EngineRun, Box<dyn std::error::Error>> {
     let mut best: Option<EngineRun> = None;
     for _ in 0..reps {
-        let out = experiments::parallel_cycle_with_engine(config, engine)?;
+        let out = ParallelScenario::prepare(config)?.run_cycle_seeded(engine, config.seed)?;
         assert!(out.verified, "cycle run diverged from the native model");
         if best.as_ref().is_none_or(|b| out.wall < b.wall) {
             best =
@@ -139,7 +139,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sizes: &[u32] = if smoke { &[4] } else { scale.mimo_sizes() };
     for &n in sizes {
         for precision in [Precision::Half16, Precision::CDotp16] {
-            let out = experiments::mc_symbol_single(&BatchConfig { n, precision, nsc, seed: 1, unroll: 2 })?;
+            let out = SymbolScenario::prepare(&BatchConfig { n, precision, nsc, seed: 1, unroll: 2 })?
+                .symbol(Job::new(1))?;
             best = best.max(out.mips);
             println!(
                 " {n:>2}x{n:<2} | {:<9} | {:>12} | {:>9} | {:>5.2}",
@@ -300,10 +301,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "workloads: parallel MMSE ({scale_cores} cores / 4 domains) and barrier-skew ({scale_cores} cores), 1 host thread, best of {scale_reps}\n"
         );
-        let fixed_scn = ParallelScenario::prepare_with(&sconfig, FusionMode::default(), EpochMode::Fixed)?;
+        let fixed = EngineOptions { epochs: EpochMode::Fixed, ..EngineOptions::default() };
+        let fixed_scn = ParallelScenario::prepare_with(&sconfig, fixed)?;
         let mut fixed_best: Option<EngineRun> = None;
         for _ in 0..scale_reps {
-            let out = fixed_scn.run_cycle(CycleEngine::EventDriven)?;
+            let out = fixed_scn.run_cycle_seeded(CycleEngine::EventDriven, sconfig.seed)?;
             assert!(out.verified, "fixed-epoch cycle run diverged from the native model");
             if fixed_best.as_ref().is_none_or(|b| out.wall < b.wall) {
                 fixed_best = Some(EngineRun {
@@ -348,7 +350,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let phase_scn = ParallelScenario::prepare(&ParallelConfig { n: phase_n, ..sconfig })?;
         let mut phase_ref: Option<(u64, u64)> = None;
         for t in [1usize, 2, 4].into_iter().filter(|&t| t <= threads_cap) {
-            let out = phase_scn.run_cycle(CycleEngine::Parallel(t))?;
+            let out = phase_scn.run_cycle_seeded(CycleEngine::Parallel(t), sconfig.seed)?;
             assert!(out.verified, "sharded cycle run diverged from the native model");
             let stats = (out.cycles, out.instructions);
             assert_eq!(*phase_ref.get_or_insert(stats), stats, "thread counts must agree bit-exactly");
@@ -432,11 +434,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // each allocating a fresh cluster memory.
         let t0 = Instant::now();
         let scenario = SymbolScenario::prepare(&bconfig)?;
-        let outs = BatchRunner::with_workers(workers).run(seeds.clone(), |_ctx, j| {
-            scenario.run_symbol(bconfig.seed.wrapping_add(u64::from(j))).map_err(|e| e.to_string())
-        });
+        let outs = BatchRunner::with_workers(workers)
+            .run(seeds.clone(), |_ctx, j| scenario.symbol(Job::new(bconfig.seed.wrapping_add(u64::from(j)))));
         let shared_wall = t0.elapsed();
-        let outs = outs.into_iter().collect::<Result<Vec<_>, String>>()?;
+        let outs = outs.into_iter().collect::<Result<Vec<_>, _>>()?;
         assert!(outs.iter().all(|o| o.verified), "batch job diverged from the native model");
         let key: Vec<(u64, u64)> = outs.iter().map(|o| (o.cycles, o.instructions)).collect();
 
@@ -444,17 +445,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // recycles one cluster arena through the batch's MemPool.
         let t1 = Instant::now();
         let pscenario = SymbolScenario::prepare(&bconfig)?;
-        let pouts =
-            BatchRunner::with_workers(workers).run_pooled(pscenario.artifacts(), seeds.clone(), |ctx, j| {
-                pscenario
-                    .run_symbol_pooled(
-                        ctx.pool().expect("pooled batch"),
-                        bconfig.seed.wrapping_add(u64::from(j)),
-                    )
-                    .map_err(|e| e.to_string())
-            });
+        let pool = terasim_terapool::MemPool::new(std::sync::Arc::clone(pscenario.artifacts()));
+        let pouts = BatchRunner::with_workers(workers).run_pooled_in(&pool, seeds.clone(), |ctx, j| {
+            pscenario.symbol(Job::from_ctx(ctx, bconfig.seed.wrapping_add(u64::from(j))))
+        });
         let pooled_wall = t1.elapsed();
-        let pouts = pouts.into_iter().collect::<Result<Vec<_>, String>>()?;
+        let pouts = pouts.into_iter().collect::<Result<Vec<_>, _>>()?;
         let pkey: Vec<(u64, u64)> = pouts.iter().map(|o| (o.cycles, o.instructions)).collect();
         assert_eq!(key, pkey, "pooled batch must be bit-identical to fresh-memory jobs");
 
@@ -462,9 +458,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // rebuilds its own artifacts (the pre-serve-layer behaviour).
         let t2 = Instant::now();
         let routs = BatchRunner::with_workers(workers).run(seeds.clone(), |_ctx, j| {
-            let mut c = bconfig;
-            c.seed = bconfig.seed.wrapping_add(u64::from(j));
-            experiments::mc_symbol_single(&c).map_err(|e| e.to_string())
+            let seed = bconfig.seed.wrapping_add(u64::from(j));
+            SymbolScenario::prepare(&BatchConfig { seed, ..bconfig })
+                .and_then(|s| Ok(s.symbol(Job::new(seed))?))
+                .map_err(|e| e.to_string())
         });
         let rebuild_wall = t2.elapsed();
         let routs = routs.into_iter().collect::<Result<Vec<_>, String>>()?;
@@ -669,25 +666,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             precision.paper_name()
         );
         let fconfig = ParallelConfig { cores, n, precision, seed: 50, unroll: 2 };
-        let fused_scn = ParallelScenario::prepare_with_fusion(&fconfig, FusionMode::On)?;
-        let unfused_scn = ParallelScenario::prepare_with_fusion(&fconfig, FusionMode::Off)?;
+        let fused = EngineOptions { fusion: FusionMode::On, ..EngineOptions::default() };
+        let unfused = EngineOptions { fusion: FusionMode::Off, ..EngineOptions::default() };
+        let fused_scn = ParallelScenario::prepare_with(&fconfig, fused)?;
+        let unfused_scn = ParallelScenario::prepare_with(&fconfig, unfused)?;
         let sconfig = BatchConfig { n, precision, nsc, seed: 1, unroll: 2 };
-        let sym_fused = SymbolScenario::prepare_with_fusion(&sconfig, FusionMode::On)?;
-        let sym_unfused = SymbolScenario::prepare_with_fusion(&sconfig, FusionMode::Off)?;
+        let sym_fused = SymbolScenario::prepare_with(&sconfig, fused)?;
+        let sym_unfused = SymbolScenario::prepare_with(&sconfig, unfused)?;
         let mut walls = [Duration::MAX; 4]; // [mmse on, mmse off, sym on, sym off]
         let mut mmse_insts = 0u64;
         let mut sym_insts = 0u64;
         for _ in 0..reps {
-            let on = fused_scn.run_fast(1)?;
-            let off = unfused_scn.run_fast(1)?;
+            let on = fused_scn.run_fast_seeded(1, fconfig.seed)?;
+            let off = unfused_scn.run_fast_seeded(1, fconfig.seed)?;
             assert!(on.verified && off.verified, "fusion runs diverged from the native model");
             assert_eq!(
                 (on.instructions, on.cluster_cycles),
                 (off.instructions, off.cluster_cycles),
                 "fused fast engine must be bit-identical to the unfused interpreter"
             );
-            let son = sym_fused.run_symbol(sconfig.seed)?;
-            let soff = sym_unfused.run_symbol(sconfig.seed)?;
+            let son = sym_fused.symbol(Job::new(sconfig.seed))?;
+            let soff = sym_unfused.symbol(Job::new(sconfig.seed))?;
             assert!(son.verified && soff.verified, "symbol fusion runs diverged from the native model");
             assert_eq!(
                 (son.instructions, son.cycles),

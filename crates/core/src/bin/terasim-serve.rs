@@ -15,13 +15,16 @@
 //! sustained capacity; a positive rate paces Poisson arrivals at that
 //! many requests per second, shedding on overload. `--check` makes the
 //! exit status a smoke-test verdict: failure unless every admitted
-//! request completed and the artifact cache was actually hit.
+//! request completed and the artifact cache was actually hit. A bad
+//! flag exits 2 with one error line naming it.
 
 use std::process::ExitCode;
 
 use terasim::daemon::{open_loop, standard_mix, Daemon, DaemonConfig};
+use terasim::experiments::EngineOptions;
 use terasim::serve::RunPolicy;
-use terasim_iss::{EpochMode, FusionMode};
+
+const USAGE: &str = "usage: terasim-serve [--workers N] [--depth N] [--cache N] [--requests N] [--rate R] [--seed S] [--budget B] [--fusion on|off] [--epochs fixed|adaptive] [--check]";
 
 struct Args(Vec<String>);
 
@@ -43,70 +46,53 @@ impl Args {
             Some(v) => v.parse().map_err(|_| format!("invalid value for {name}: {v:?}")),
         }
     }
-}
 
-macro_rules! flag {
-    ($args:expr, $name:expr, $default:expr) => {
-        match $args.get($name, $default) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+    /// A count flag that must be at least 1.
+    fn positive(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.get(name, default)? {
+            0 => Err(format!("invalid value for {name}: 0 (expected at least 1)")),
+            v => Ok(v),
         }
-    };
+    }
 }
 
 fn main() -> ExitCode {
     let args = Args(std::env::args().skip(1).collect());
     if args.has("--help") || args.has("-h") {
-        eprintln!(
-            "usage: terasim-serve [--workers N] [--depth N] [--cache N] [--requests N] [--rate R] [--seed S] [--budget B] [--fusion on|off] [--epochs fixed|adaptive] [--check]"
-        );
+        eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     }
-    let workers: usize = flag!(args, "--workers", 1);
-    let depth: usize = flag!(args, "--depth", 16);
-    let cache: usize = flag!(args, "--cache", 4);
-    let requests: usize = flag!(args, "--requests", 40);
-    let rate: f64 = flag!(args, "--rate", 0.0);
-    let seed: u64 = flag!(args, "--seed", 1);
-    let budget: u64 = flag!(args, "--budget", 0);
+    match serve(&args) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// Parses the command line (a bad flag is `Err`, exit 2), then serves
+/// the synthetic load and reports.
+fn serve(args: &Args) -> Result<ExitCode, String> {
+    let workers = args.positive("--workers", 1)?;
+    let depth = args.positive("--depth", 16)?;
+    let cache = args.positive("--cache", 4)?;
+    let requests: usize = args.get("--requests", 40)?;
+    let rate: f64 = args.get("--rate", 0.0)?;
+    let seed: u64 = args.get("--seed", 1)?;
+    let budget: u64 = args.get("--budget", 0)?;
     let check = args.has("--check");
-    let fusion = match args.value("--fusion") {
-        None | Some("on") => FusionMode::On,
-        Some("off") => FusionMode::Off,
-        Some(v) => {
-            eprintln!("error: invalid value for --fusion: {v:?} (expected on|off)");
-            return ExitCode::FAILURE;
-        }
-    };
-    let epochs = match args.value("--epochs") {
-        None | Some("adaptive") => EpochMode::Adaptive,
-        Some("fixed") => EpochMode::Fixed,
-        Some(v) => {
-            eprintln!("error: invalid value for --epochs: {v:?} (expected fixed|adaptive)");
-            return ExitCode::FAILURE;
-        }
-    };
+    let engine = EngineOptions::parse(args.value("--fusion"), args.value("--epochs"))?;
 
     let mut policy = RunPolicy::new();
     if budget > 0 {
         policy = policy.with_budget(budget);
     }
-    let daemon = Daemon::start(DaemonConfig {
-        workers,
-        queue_depth: depth,
-        cache_capacity: cache,
-        policy,
-        fusion,
-        epochs,
-    });
+    let daemon =
+        Daemon::start(DaemonConfig { workers, queue_depth: depth, cache_capacity: cache, policy, engine });
 
     println!(
-        "terasim-serve: workers={workers} depth={depth} cache={cache} requests={requests} rate={rate} seed={seed} fusion={} epochs={}",
-        if fusion == FusionMode::On { "on" } else { "off" },
-        if epochs == EpochMode::Adaptive { "adaptive" } else { "fixed" }
+        "terasim-serve: workers={workers} depth={depth} cache={cache} requests={requests} rate={rate} seed={seed} {engine}"
     );
     let report = open_loop(&daemon, &standard_mix(), rate, requests, seed);
     let stats = daemon.shutdown();
@@ -139,13 +125,13 @@ fn main() -> ExitCode {
     if check {
         if report.failed > 0 {
             eprintln!("check FAILED: {} admitted requests did not complete", report.failed);
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         if report.cache_hits == 0 {
             eprintln!("check FAILED: artifact cache was never hit across {} requests", report.completed);
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         println!("check OK: zero failures, cross-request cache hits present");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

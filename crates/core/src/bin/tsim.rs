@@ -6,17 +6,38 @@
 //! tsim ber    --mimo 4 --mod 16qam --channel awgn --detector 16bCDotp --snr 6,10,14,18
 //! tsim info   --cores 1024
 //! ```
+//!
+//! Exit status: 0 on success, 1 when a run fails, 2 on a bad command line
+//! (one error line naming the flag and its legal values).
 
+use std::error::Error;
 use std::process::ExitCode;
 
 use terasim::experiments::{
-    self, BatchConfig, CycleEngine, ParallelConfig, ParallelScenario, SymbolScenario,
+    self, BatchConfig, CycleEngine, EngineOptions, Job, ParallelConfig, ParallelScenario, SymbolScenario,
 };
 use terasim::DetectorKind;
-use terasim_iss::{EpochMode, FusionMode};
-use terasim_kernels::Precision;
+use terasim_kernels::{MmseKernel, Precision};
 use terasim_phy::{ChannelKind, Mimo, Modulation};
 use terasim_terapool::Topology;
+
+const USAGE: &str = "usage:\n  tsim run    --mimo <4|8|16|32> --precision <name> [--cores N] [--backend fast|cycle] [--threads T] [--seed S] [--fusion on|off] [--epochs fixed|adaptive]\n  tsim symbol --mimo <N> --precision <name> [--nsc N] [--seed S] [--fusion on|off] [--epochs fixed|adaptive]\n  tsim ber    --mimo <N> --detector <64b|name|iss:name> [--mod 16qam|64qam] [--channel awgn|rayleigh] [--snr a,b,c] [--errors E]\n  tsim info   [--cores N]\n\nprecisions: 16bHalf 16bwDotp 16bCDotp 8bQuarter 8bwDotp";
+
+const MIMO_SIZES: &str = "4, 8, 16 or 32";
+const CORE_COUNTS: &str = "a power of two in 8..=1024";
+
+/// Why `tsim` stopped: a bad command line (exit 2) or a failed run
+/// (exit 1).
+enum Failure {
+    Usage(String),
+    Run(Box<dyn Error>),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Usage(format!("error: {msg}"))
+    }
+}
 
 struct Args(Vec<String>);
 
@@ -36,242 +57,173 @@ impl Args {
             }
         }
     }
-}
 
-/// Unwraps a numeric flag or exits with the parse error naming the flag.
-macro_rules! flag {
-    ($args:expr, $name:expr, $default:expr) => {
-        match $args.u32($name, $default) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+    /// As [`u32`](Self::u32), rejecting values outside the legal set
+    /// `legal`, described as `expected` in the error.
+    fn legal(
+        &self,
+        name: &str,
+        default: u32,
+        legal: impl Fn(u32) -> bool,
+        expected: &str,
+    ) -> Result<u32, String> {
+        let v = self.u32(name, default)?;
+        if legal(v) {
+            Ok(v)
+        } else {
+            Err(format!("invalid value for {name}: {v} (expected {expected})"))
         }
-    };
-}
+    }
 
-fn parse_precision(s: &str) -> Option<Precision> {
-    Precision::ALL.into_iter().find(|p| p.paper_name().eq_ignore_ascii_case(s))
-}
-
-/// Parses `--fusion on|off` (default: on — the fused fast engine).
-fn parse_fusion(args: &Args) -> Result<FusionMode, String> {
-    match args.value("--fusion") {
-        None | Some("on") => Ok(FusionMode::On),
-        Some("off") => Ok(FusionMode::Off),
-        Some(v) => Err(format!("invalid value for --fusion: {v:?} (expected on|off)")),
+    fn engine(&self) -> Result<EngineOptions, String> {
+        EngineOptions::parse(self.value("--fusion"), self.value("--epochs"))
     }
 }
 
-/// Parses `--epochs fixed|adaptive` (default: adaptive — the
-/// quiescence-extended cadence of the sharded cycle engine; `fixed`
-/// keeps the base 4-cycle cadence served and CI-exercised).
-fn parse_epochs(args: &Args) -> Result<EpochMode, String> {
-    match args.value("--epochs") {
-        None | Some("adaptive") => Ok(EpochMode::Adaptive),
-        Some("fixed") => Ok(EpochMode::Fixed),
-        Some(v) => Err(format!("invalid value for --epochs: {v:?} (expected fixed|adaptive)")),
-    }
-}
-
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  tsim run    --mimo <4|8|16|32> --precision <name> [--cores N] [--backend fast|cycle] [--threads T] [--seed S] [--fusion on|off] [--epochs fixed|adaptive]\n  tsim symbol --mimo <N> --precision <name> [--nsc N] [--seed S] [--fusion on|off] [--epochs fixed|adaptive]\n  tsim ber    --mimo <N> --detector <64b|name|iss:name> [--mod 16qam|64qam] [--channel awgn|rayleigh] [--snr a,b,c] [--errors E]\n  tsim info   [--cores N]\n\nprecisions: 16bHalf 16bwDotp 16bCDotp 8bQuarter 8bwDotp"
-    );
-    ExitCode::FAILURE
+/// Parses a precision name given as the value of flag `name`.
+fn precision(name: &str, v: &str) -> Result<Precision, String> {
+    Precision::ALL.into_iter().find(|p| p.paper_name().eq_ignore_ascii_case(v)).ok_or_else(|| {
+        let names: Vec<&str> = Precision::ALL.iter().map(|p| p.paper_name()).collect();
+        format!("invalid value for {name}: {v:?} (expected {})", names.join("|"))
+    })
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.first().cloned() else {
-        return usage();
+    let args = Args(std::env::args().skip(1).collect());
+    let result = match args.0.first().map(String::as_str) {
+        Some("run") => cmd_run(&args),
+        Some("symbol") => cmd_symbol(&args),
+        Some("ber") => cmd_ber(&args),
+        Some("info") => cmd_info(&args),
+        _ => Err(Failure::Usage(USAGE.to_string())),
     };
-    let args = Args(argv);
-
-    match cmd.as_str() {
-        "run" => cmd_run(&args),
-        "symbol" => cmd_symbol(&args),
-        "ber" => cmd_ber(&args),
-        "info" => cmd_info(&args),
-        _ => usage(),
-    }
-}
-
-fn cmd_run(args: &Args) -> ExitCode {
-    let n = flag!(args, "--mimo", 4);
-    let Some(precision) = parse_precision(args.value("--precision").unwrap_or("16bCDotp")) else {
-        return usage();
-    };
-    let config = ParallelConfig {
-        cores: flag!(args, "--cores", 64),
-        n,
-        precision,
-        seed: u64::from(flag!(args, "--seed", 1)),
-        unroll: flag!(args, "--unroll", 2),
-    };
-    let epochs = match parse_epochs(args) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(Failure::Usage(msg)) => {
+            eprintln!("{msg}");
+            ExitCode::from(2)
         }
-    };
-    match args.value("--backend").unwrap_or("fast") {
-        "fast" => {
-            let threads = flag!(args, "--threads", 2) as usize;
-            let fusion = match parse_fusion(args) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let run =
-                ParallelScenario::prepare_with(&config, fusion, epochs).and_then(|s| s.run_fast(threads));
-            match run {
-                Ok(out) => {
-                    println!(
-                        "fast: {} cores x {}x{} {} (fusion {}) -> {} instructions, ~{} cluster cycles, {:.2} MIPS, wall {:?}, verified={}",
-                        config.cores,
-                        n,
-                        n,
-                        precision,
-                        if fusion == FusionMode::On { "on" } else { "off" },
-                        out.instructions,
-                        out.cluster_cycles,
-                        out.mips,
-                        out.wall,
-                        out.verified
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "cycle" => {
-            let run = ParallelScenario::prepare_with(&config, FusionMode::default(), epochs)
-                .and_then(|s| s.run_cycle(CycleEngine::EventDriven));
-            match run {
-                Ok(out) => {
-                    let b = out.breakdown;
-                    println!(
-                        "cycle: {} cores x {}x{} {} (epochs {}) -> {} cycles (instr {} raw {} lsu {} ins {} acc {} wfi {}), wall {:?}, verified={}",
-                        config.cores,
-                        n,
-                        n,
-                        precision,
-                        if epochs == EpochMode::Adaptive { "adaptive" } else { "fixed" },
-                        out.cycles,
-                        b.instructions,
-                        b.stall_raw,
-                        b.stall_lsu,
-                        b.stall_ins,
-                        b.stall_acc,
-                        b.stall_wfi,
-                        out.wall,
-                        out.verified
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        _ => usage(),
-    }
-}
-
-fn cmd_symbol(args: &Args) -> ExitCode {
-    let Some(precision) = parse_precision(args.value("--precision").unwrap_or("16bCDotp")) else {
-        return usage();
-    };
-    let config = BatchConfig {
-        n: flag!(args, "--mimo", 4),
-        precision,
-        nsc: flag!(args, "--nsc", 128),
-        seed: u64::from(flag!(args, "--seed", 1)),
-        unroll: flag!(args, "--unroll", 2),
-    };
-    let fusion = match parse_fusion(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let epochs = match parse_epochs(args) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let run = SymbolScenario::prepare_with(&config, fusion, epochs).and_then(|s| s.run_symbol(config.seed));
-    match run {
-        Ok(out) => {
-            println!(
-                "symbol: NSC={} {}x{} {} -> {} instructions, {} Snitch cycles, {:.2} MIPS, wall {:?}, verified={}",
-                config.nsc, config.n, config.n, precision, out.instructions, out.cycles, out.mips, out.wall, out.verified
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
+        Err(Failure::Run(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn cmd_ber(args: &Args) -> ExitCode {
-    let n = flag!(args, "--mimo", 4) as usize;
+fn cmd_run(args: &Args) -> Result<(), Failure> {
+    let n = args.legal("--mimo", 4, MmseKernel::supports_n, MIMO_SIZES)?;
+    let precision = precision("--precision", args.value("--precision").unwrap_or("16bCDotp"))?;
+    let config = ParallelConfig {
+        cores: args.legal("--cores", 64, Topology::supports_cores, CORE_COUNTS)?,
+        n,
+        precision,
+        seed: u64::from(args.u32("--seed", 1)?),
+        unroll: args.legal("--unroll", 2, |u| u >= 1, "at least 1")?,
+    };
+    let engine = args.engine()?;
+    match args.value("--backend").unwrap_or("fast") {
+        "fast" => {
+            let threads = args.legal("--threads", 2, |t| t >= 1, "at least 1")? as usize;
+            let out = ParallelScenario::prepare_with(&config, engine)
+                .and_then(|s| s.run_fast_seeded(threads, config.seed))
+                .map_err(Failure::Run)?;
+            println!(
+                "fast: {} cores x {}x{} {} ({engine}) -> {} instructions, ~{} cluster cycles, {:.2} MIPS, wall {:?}, verified={}",
+                config.cores, n, n, precision, out.instructions, out.cluster_cycles, out.mips, out.wall, out.verified
+            );
+        }
+        "cycle" => {
+            let out = ParallelScenario::prepare_with(&config, engine)
+                .and_then(|s| s.run_cycle_seeded(CycleEngine::EventDriven, config.seed))
+                .map_err(Failure::Run)?;
+            let b = out.breakdown;
+            println!(
+                "cycle: {} cores x {}x{} {} ({engine}) -> {} cycles (instr {} raw {} lsu {} ins {} acc {} wfi {}), wall {:?}, verified={}",
+                config.cores,
+                n,
+                n,
+                precision,
+                out.cycles,
+                b.instructions,
+                b.stall_raw,
+                b.stall_lsu,
+                b.stall_ins,
+                b.stall_acc,
+                b.stall_wfi,
+                out.wall,
+                out.verified
+            );
+        }
+        other => return Err(format!("invalid value for --backend: {other:?} (expected fast|cycle)").into()),
+    }
+    Ok(())
+}
+
+fn cmd_symbol(args: &Args) -> Result<(), Failure> {
+    let config = BatchConfig {
+        n: args.legal("--mimo", 4, MmseKernel::supports_n, MIMO_SIZES)?,
+        precision: precision("--precision", args.value("--precision").unwrap_or("16bCDotp"))?,
+        nsc: args.legal("--nsc", 128, |n| n >= 1, "at least 1")?,
+        seed: u64::from(args.u32("--seed", 1)?),
+        unroll: args.legal("--unroll", 2, |u| u >= 1, "at least 1")?,
+    };
+    let out = SymbolScenario::prepare_with(&config, args.engine()?)
+        .and_then(|s| Ok(s.symbol(Job::new(config.seed))?))
+        .map_err(Failure::Run)?;
+    println!(
+        "symbol: NSC={} {}x{} {} -> {} instructions, {} Snitch cycles, {:.2} MIPS, wall {:?}, verified={}",
+        config.nsc,
+        config.n,
+        config.n,
+        config.precision,
+        out.instructions,
+        out.cycles,
+        out.mips,
+        out.wall,
+        out.verified
+    );
+    Ok(())
+}
+
+fn cmd_ber(args: &Args) -> Result<(), Failure> {
     let detector = match args.value("--detector").unwrap_or("64b") {
         "64b" | "64bDouble" => DetectorKind::Reference64,
-        s => {
-            if let Some(rest) = s.strip_prefix("iss:") {
-                match parse_precision(rest) {
-                    Some(p) => DetectorKind::Iss(p),
-                    None => return usage(),
-                }
-            } else {
-                match parse_precision(s) {
-                    Some(p) => DetectorKind::Native(p),
-                    None => return usage(),
-                }
-            }
-        }
+        s => match s.strip_prefix("iss:") {
+            Some(p) => DetectorKind::Iss(precision("--detector", p)?),
+            None => DetectorKind::Native(precision("--detector", s)?),
+        },
     };
+    // The ISS detector runs the generated kernel; the host models take
+    // any size.
+    let n = match detector {
+        DetectorKind::Iss(_) => args.legal("--mimo", 4, MmseKernel::supports_n, MIMO_SIZES)?,
+        _ => args.legal("--mimo", 4, |n| n >= 1, "at least 1")?,
+    } as usize;
     let modulation = match args.value("--mod").unwrap_or("16qam") {
         "qpsk" => Modulation::Qpsk,
         "16qam" => Modulation::Qam16,
         "64qam" => Modulation::Qam64,
-        _ => return usage(),
+        other => return Err(format!("invalid value for --mod: {other:?} (expected qpsk|16qam|64qam)").into()),
     };
     let channel = match args.value("--channel").unwrap_or("awgn") {
         "awgn" => ChannelKind::Awgn,
         "rayleigh" => ChannelKind::Rayleigh,
-        _ => return usage(),
-    };
-    let mut snrs: Vec<f64> = Vec::new();
-    for part in args.value("--snr").unwrap_or("6,10,14,18").split(',') {
-        match part.trim().parse() {
-            Ok(v) => snrs.push(v),
-            Err(_) => {
-                eprintln!("error: invalid value for --snr: {:?} is not a number", part.trim());
-                return ExitCode::FAILURE;
-            }
+        other => {
+            return Err(format!("invalid value for --channel: {other:?} (expected awgn|rayleigh)").into())
         }
-    }
-    if snrs.is_empty() {
-        return usage();
-    }
+    };
+    let snrs = args
+        .value("--snr")
+        .unwrap_or("6,10,14,18")
+        .split(',')
+        .map(|part| {
+            part.trim()
+                .parse()
+                .map_err(|_| format!("invalid value for --snr: {:?} is not a number", part.trim()))
+        })
+        .collect::<Result<Vec<f64>, String>>()?;
     let scenario = Mimo { n_tx: n, n_rx: n, modulation, channel };
-    let errors = u64::from(flag!(args, "--errors", 500));
+    let errors = u64::from(args.legal("--errors", 500, |e| e >= 1, "at least 1")?);
     println!("BER {}x{} {} {} — {}", n, n, modulation.name(), channel.name(), detector.label());
     for p in experiments::ber_curve(scenario, &snrs, detector, errors, 50_000, 1) {
         println!(
@@ -283,11 +235,11 @@ fn cmd_ber(args: &Args) -> ExitCode {
             p.iterations
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_info(args: &Args) -> ExitCode {
-    let topo = Topology::scaled(flag!(args, "--cores", 1024));
+fn cmd_info(args: &Args) -> Result<(), Failure> {
+    let topo = Topology::scaled(args.legal("--cores", 1024, Topology::supports_cores, CORE_COUNTS)?);
     println!("TeraPool topology:");
     println!("  cores: {} ({} per tile)", topo.num_cores(), topo.cores_per_tile);
     println!(
@@ -305,5 +257,5 @@ fn cmd_info(args: &Args) -> ExitCode {
     );
     println!("  worst non-contended access: {} cycles", topo.max_access_latency());
     println!("  I$: {} B per tile, {} B lines", topo.icache_bytes, topo.icache_line);
-    ExitCode::SUCCESS
+    Ok(())
 }

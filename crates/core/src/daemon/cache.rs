@@ -27,13 +27,12 @@
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use terasim_iss::{EpochMode, FusionMode};
 use terasim_phy::{BerJob, Detector};
 use terasim_terapool::{MemPool, PoolStats, SimArtifacts};
 
 use super::{ScenarioKey, ServeRequest, ServeResponse};
 use crate::detectors::{DetectorKind, IssDetector};
-use crate::experiments::{ParallelScenario, SymbolScenario};
+use crate::experiments::{BatchConfig, EngineOptions, Job, ParallelConfig, ParallelScenario, SymbolScenario};
 use crate::serve::{JobCtx, JobError};
 
 /// What a cache entry holds per request family.
@@ -68,54 +67,39 @@ impl std::fmt::Debug for CachedScenario {
 }
 
 impl CachedScenario {
-    /// Prepares the scenario a request needs: kernel build, translation,
-    /// artifact lowering, and a fresh recycling pool over the artifacts.
-    /// Seeds are normalised out — the prepared scenario serves every
-    /// seed of its key. Public so embedders (and the workspace's cache
-    /// tests) can pre-warm an [`ArtifactCache`] outside a daemon.
+    /// [`build_with`](Self::build_with) under the default
+    /// [`EngineOptions`].
     ///
     /// # Errors
     ///
     /// Returns the kernel build or translation error as a string (the
     /// form the cache memoises).
     pub fn build(req: &ServeRequest) -> Result<Self, String> {
-        Self::build_with_fusion(req, FusionMode::default())
+        Self::build_with(req, EngineOptions::default())
     }
 
-    /// As [`build`](Self::build) with an explicit fast-engine
-    /// [`FusionMode`] for the prepared scenario (the daemon passes its
-    /// configured mode; results are bit-identical either way).
+    /// Prepares the scenario a request needs under `options` (the daemon
+    /// passes its configured [`EngineOptions`]; results are bit-identical
+    /// under every value): kernel build, translation, artifact lowering,
+    /// and a fresh recycling pool over the artifacts. Seeds are
+    /// normalised out — the prepared scenario serves every seed of its
+    /// key. Public so embedders (and the workspace's cache tests) can
+    /// pre-warm an [`ArtifactCache`] outside a daemon.
     ///
     /// # Errors
     ///
     /// Returns the kernel build or translation error as a string.
-    pub fn build_with_fusion(req: &ServeRequest, fusion: FusionMode) -> Result<Self, String> {
-        Self::build_with(req, fusion, EpochMode::default())
-    }
-
-    /// As [`build_with_fusion`](Self::build_with_fusion) with an explicit
-    /// [`EpochMode`] for the scenario's sharded cycle-mode jobs (the
-    /// daemon passes its configured cadence; results are bit-identical
-    /// either way).
-    ///
-    /// # Errors
-    ///
-    /// Returns the kernel build or translation error as a string.
-    pub fn build_with(req: &ServeRequest, fusion: FusionMode, epochs: EpochMode) -> Result<Self, String> {
+    pub fn build_with(req: &ServeRequest, options: EngineOptions) -> Result<Self, String> {
         match req {
             ServeRequest::Symbol { config } => {
-                let mut config = *config;
-                config.seed = 0;
-                let scenario =
-                    SymbolScenario::prepare_with(&config, fusion, epochs).map_err(|e| e.to_string())?;
+                let config = BatchConfig { seed: 0, ..*config };
+                let scenario = SymbolScenario::prepare_with(&config, options).map_err(|e| e.to_string())?;
                 let pool = MemPool::new(Arc::clone(scenario.artifacts()));
                 Ok(Self { prepared: Prepared::Symbol(scenario), pool })
             }
             ServeRequest::Fast { config } | ServeRequest::Cycle { config, .. } => {
-                let mut config = *config;
-                config.seed = 0;
-                let scenario =
-                    ParallelScenario::prepare_with(&config, fusion, epochs).map_err(|e| e.to_string())?;
+                let config = ParallelConfig { seed: 0, ..*config };
+                let scenario = ParallelScenario::prepare_with(&config, options).map_err(|e| e.to_string())?;
                 let pool = MemPool::new(Arc::clone(scenario.artifacts()));
                 Ok(Self { prepared: Prepared::Parallel(scenario), pool })
             }
@@ -133,8 +117,8 @@ impl CachedScenario {
     }
 
     /// The entry's recycling cluster-memory pool (built over the
-    /// scenario's own artifact set, so the supervised runners' pool
-    /// identity check passes and arenas recycle across requests).
+    /// scenario's own artifact set, so a [`Job`] carrying it recycles
+    /// arenas across requests).
     pub fn pool(&self) -> &Arc<MemPool> {
         &self.pool
     }
@@ -157,13 +141,13 @@ impl CachedScenario {
     pub(super) fn run(&self, ctx: &JobCtx, req: &ServeRequest) -> Result<ServeResponse, JobError> {
         match (&self.prepared, req) {
             (Prepared::Symbol(s), ServeRequest::Symbol { config }) => {
-                s.try_run_symbol(ctx, config.seed).map(ServeResponse::Symbol)
+                s.symbol(Job::from_ctx(ctx, config.seed)).map(ServeResponse::Symbol)
             }
             (Prepared::Parallel(s), ServeRequest::Fast { config }) => {
-                s.try_run_fast(ctx, 1, config.seed).map(ServeResponse::Fast)
+                s.fast(1, Job::from_ctx(ctx, config.seed)).map(ServeResponse::Fast)
             }
             (Prepared::Parallel(s), ServeRequest::Cycle { config, engine }) => {
-                s.try_run_cycle(ctx, *engine, config.seed).map(ServeResponse::Cycle)
+                s.cycle(*engine, Job::from_ctx(ctx, config.seed)).map(ServeResponse::Cycle)
             }
             (
                 Prepared::Ber(detector),

@@ -69,12 +69,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use terasim_iss::{EpochMode, FusionMode};
 use terasim_phy::{BerPoint, Mimo};
 use terasim_terapool::PoolStats;
 
 use crate::detectors::DetectorKind;
-use crate::experiments::{BatchConfig, BatchOutcome, CycleEngine, CycleOutcome, FastOutcome, ParallelConfig};
+use crate::experiments::{
+    BatchConfig, BatchOutcome, CycleEngine, CycleOutcome, EngineOptions, FastOutcome, ParallelConfig,
+};
 use crate::serve::{panic_message, BatchRunner, JobError, RunPolicy};
 
 /// The stable identity of a request's *scenario* — everything that
@@ -364,27 +365,22 @@ pub struct DaemonConfig {
     /// Execution policy applied to every request (instruction budget,
     /// retry-on-panic, cancellation token).
     pub policy: RunPolicy,
-    /// Fast-engine fusion mode applied to every scenario the cache
-    /// prepares (A/B hook for the `--fusion` serve flag; results are
-    /// bit-identical either way).
-    pub fusion: FusionMode,
-    /// Epoch cadence of the sharded cycle engine applied to every
-    /// scenario the cache prepares (A/B hook for the `--epochs` serve
-    /// flag; results are bit-identical either way).
-    pub epochs: EpochMode,
+    /// Engine options every scenario the cache prepares is built with
+    /// (the `--fusion` / `--epochs` serve flags; results are
+    /// bit-identical under every value).
+    pub engine: EngineOptions,
 }
 
 impl Default for DaemonConfig {
     /// One worker, depth 64, four warm scenarios, permissive policy,
-    /// fused fast engine, adaptive epochs.
+    /// default engine options.
     fn default() -> Self {
         Self {
             workers: 1,
             queue_depth: 64,
             cache_capacity: 4,
             policy: RunPolicy::new(),
-            fusion: FusionMode::On,
-            epochs: EpochMode::Adaptive,
+            engine: EngineOptions::default(),
         }
     }
 }
@@ -425,8 +421,7 @@ struct Shared {
     available: Condvar,
     cache: ArtifactCache,
     policy: RunPolicy,
-    fusion: FusionMode,
-    epochs: EpochMode,
+    engine: EngineOptions,
     high_water: usize,
     submitted: AtomicU64,
     rejected_overload: AtomicU64,
@@ -465,8 +460,7 @@ impl Daemon {
             available: Condvar::new(),
             cache: ArtifactCache::new(config.cache_capacity),
             policy: config.policy,
-            fusion: config.fusion,
-            epochs: config.epochs,
+            engine: config.engine,
             high_water: config.queue_depth,
             submitted: AtomicU64::new(0),
             rejected_overload: AtomicU64::new(0),
@@ -607,16 +601,15 @@ fn serve_one(shared: &Shared, req: &ServeRequest) -> (Result<ServeResponse, Serv
             // `AssertUnwindSafe` is sound: a panicked build leaves nothing
             // behind but its error, which the cache keeps.
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                CachedScenario::build_with(req, shared.fusion, shared.epochs)
+                CachedScenario::build_with(req, shared.engine)
             }))
             .unwrap_or_else(|payload| Err(format!("build panicked: {}", panic_message(&*payload))))
         });
         match entry {
             Ok(scenario) => {
-                let mut out =
-                    runner.try_run_pooled_in(&shared.policy, scenario.pool(), vec![()], |ctx, ()| {
-                        scenario.run(ctx, req)
-                    });
+                let mut out = runner.try_run(&shared.policy, Some(scenario.pool()), vec![()], |ctx, ()| {
+                    scenario.run(ctx, req)
+                });
                 (out.pop().expect("one job, one result").map_err(ServeError::Job), hit)
             }
             Err(e) => (Err(ServeError::Build(e)), hit),
@@ -625,7 +618,7 @@ fn serve_one(shared: &Shared, req: &ServeRequest) -> (Result<ServeResponse, Serv
         let ServeRequest::Ber { scenario, kind, snr_db, seed, target_errors, max_iterations } = req else {
             unreachable!("only BER requests can be uncacheable");
         };
-        let mut out = runner.try_run_with(&shared.policy, vec![()], |_ctx, ()| {
+        let mut out = runner.try_run(&shared.policy, None, vec![()], |_ctx, ()| {
             let detector = kind.instantiate(scenario.n_tx);
             let job = terasim_phy::BerJob { scenario: *scenario, snr_db: *snr_db, seed: *seed };
             Ok(ServeResponse::Ber(job.run(detector.as_ref(), *target_errors, *max_iterations)))

@@ -1,23 +1,127 @@
-//! The paper's experiment harness: one entry point per evaluation axis.
+//! The paper's experiment harness: prepared scenarios and one job path
+//! per backend.
 //!
-//! Each function sets up operands through the PHY, generates the kernel,
-//! runs a simulator backend, *verifies* the architectural results against
-//! the native bit-true model, and reports timing/statistics. The figure
+//! A scenario ([`ParallelScenario`], [`SymbolScenario`]) sets up the
+//! kernel and its shared artifacts once, under one [`EngineOptions`]
+//! value. Every job then runs through exactly one path per backend —
+//! [`ParallelScenario::fast`], [`ParallelScenario::cycle`] and
+//! [`SymbolScenario::symbol`] — which draws operands through the PHY,
+//! runs the simulator, *verifies* the architectural results against the
+//! native bit-true model, and reports timing/statistics. A [`Job`] says
+//! where the job's memory comes from and how it is supervised. The figure
 //! binaries in `terasim-bench` are thin wrappers over these.
 
 use std::error::Error;
+use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use terasim_iss::{EpochMode, FusionMode, FusionProfile, RunConfig};
+use terasim_iss::{EpochMode, FusionMode, FusionProfile, RunConfig, Trap};
 use terasim_kernels::{data, native, MmseKernel, Precision, ProblemLayout, C64};
 use terasim_phy::{BerPoint, ChannelKind, Mimo, Modulation, TxGenerator};
 use terasim_terapool::{
-    ClusterMem, CycleSim, CycleStats, EpochReport, FastSim, MemPool, SimArtifacts, Topology,
+    CancelToken, ClusterMem, ClusterResult, CycleSim, CycleStats, EpochReport, FastSim, MemPool,
+    SimArtifacts, Topology,
 };
 
 use crate::detectors::DetectorKind;
 use crate::serve::{BatchRunner, JobCtx, JobError};
+
+/// The engine options a scenario is prepared with: the one place the
+/// settable engine values are defined. `tsim`, `terasim-serve` (through
+/// [`DaemonConfig`](crate::daemon::DaemonConfig)), `mips` and the
+/// scenario `prepare_with`s all read them from this value. Results are
+/// bit-identical under every combination; only dispatch cost (fusion)
+/// and epoch cadence (epochs) change.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineOptions {
+    /// Superinstruction fusion and SPMD convergence for fast-mode jobs
+    /// (`--fusion on|off`, default on).
+    pub fusion: FusionMode,
+    /// Epoch cadence of the sharded cycle engine (`--epochs
+    /// fixed|adaptive`, default adaptive).
+    pub epochs: EpochMode,
+}
+
+impl EngineOptions {
+    /// Parses the `--fusion` and `--epochs` flag values; an absent flag
+    /// keeps its default.
+    ///
+    /// # Errors
+    ///
+    /// A one-line message naming the flag and its legal values.
+    pub fn parse(fusion: Option<&str>, epochs: Option<&str>) -> Result<Self, String> {
+        let fusion = match fusion {
+            None | Some("on") => FusionMode::On,
+            Some("off") => FusionMode::Off,
+            Some(v) => return Err(format!("invalid value for --fusion: {v:?} (expected on|off)")),
+        };
+        let epochs = match epochs {
+            None | Some("adaptive") => EpochMode::Adaptive,
+            Some("fixed") => EpochMode::Fixed,
+            Some(v) => return Err(format!("invalid value for --epochs: {v:?} (expected fixed|adaptive)")),
+        };
+        Ok(Self { fusion, epochs })
+    }
+
+    fn run_config(self) -> RunConfig {
+        RunConfig { fusion: self.fusion, epochs: self.epochs, ..RunConfig::default() }
+    }
+}
+
+impl fmt::Display for EngineOptions {
+    /// The flag spelling: `fusion=on epochs=adaptive`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let fusion = if self.fusion == FusionMode::On { "on" } else { "off" };
+        let epochs = if self.epochs == EpochMode::Adaptive { "adaptive" } else { "fixed" };
+        write!(f, "fusion={fusion} epochs={epochs}")
+    }
+}
+
+/// One scenario job: its operand seed, where its cluster memory comes
+/// from, and how it is supervised. [`Job::new`] is an unsupervised job on
+/// fresh memory; [`Job::from_ctx`] takes a batch's pool, budget and
+/// cancel token. Override single fields with struct-update syntax
+/// (`Job { budget: None, ..Job::from_ctx(ctx, seed) }`).
+#[derive(Debug, Clone, Default)]
+pub struct Job {
+    /// Operand seed.
+    pub seed: u64,
+    /// Recycling pool for the job's cluster memory. Used only when it was
+    /// built over the scenario's own artifacts; otherwise the job runs on
+    /// fresh memory and the pool is left untouched.
+    pub pool: Option<Arc<MemPool>>,
+    /// Per-core instruction budget; exhaustion is
+    /// [`JobError::BudgetExhausted`].
+    pub budget: Option<u64>,
+    /// Cooperative cancel token, polled at engine safe points.
+    pub cancel: Option<CancelToken>,
+    /// Fast-mode timing configuration override (the latency-model
+    /// ablation, DESIGN.md D2). One whose latency model matches the
+    /// scenario's keeps the shared lowered table; otherwise the job
+    /// re-lowers privately. Cycle-mode jobs time with the cycle model and
+    /// ignore it.
+    pub config: Option<RunConfig>,
+}
+
+impl Job {
+    /// An unsupervised job on fresh memory.
+    pub fn new(seed: u64) -> Self {
+        Self { seed, ..Self::default() }
+    }
+
+    /// A job under a batch supervisor: the batch's pool (if any), and its
+    /// [`RunPolicy`](crate::serve::RunPolicy)'s budget and cancel token.
+    pub fn from_ctx(ctx: &JobCtx, seed: u64) -> Self {
+        Self {
+            seed,
+            pool: ctx.pool().cloned(),
+            budget: ctx.budget(),
+            cancel: ctx.cancel().cloned(),
+            config: None,
+        }
+    }
+}
 
 /// Configuration of the parallel-MMSE experiment (Figures 5, 7, 8): one
 /// subcarrier problem per core, all cores at once.
@@ -134,75 +238,138 @@ fn verify(mem: &ClusterMem, layout: &ProblemLayout, set: &ProblemSet) -> bool {
     })
 }
 
+fn mips(instructions: u64, wall: Duration) -> f64 {
+    instructions as f64 / wall.as_secs_f64().max(1e-9) / 1e6
+}
+
+/// What both scenario types hold: the problem layout and the immutable
+/// artifact set every job shares.
+#[derive(Debug)]
+struct Prepared {
+    layout: ProblemLayout,
+    arts: Arc<SimArtifacts>,
+}
+
+/// A verified fast-mode run.
+struct FastRun {
+    wall: Duration,
+    result: ClusterResult,
+    verified: bool,
+}
+
+impl Prepared {
+    fn build(topo: Topology, kernel: &MmseKernel, rc: RunConfig) -> Result<Self, Box<dyn Error>> {
+        let layout = kernel.layout(&topo)?;
+        let image = kernel.build(&topo)?;
+        Ok(Self { layout, arts: SimArtifacts::build_with(topo, &image, rc)? })
+    }
+
+    /// The job's simulator: on the job's pool when that pool was built
+    /// over these artifacts, on fresh memory otherwise.
+    fn sim<S>(&self, job: &Job, fresh: fn(Arc<SimArtifacts>) -> S, pooled: fn(&Arc<MemPool>) -> S) -> S {
+        match &job.pool {
+            Some(pool) if Arc::ptr_eq(pool.artifacts(), &self.arts) => pooled(pool),
+            _ => fresh(Arc::clone(&self.arts)),
+        }
+    }
+
+    /// The one fast-mode job path of both scenario types: memory, budget,
+    /// timing override and cancel token from `job`, operands from its
+    /// seed, the engine driven by `run`, faults mapped to [`JobError`]s.
+    fn fast<R>(
+        &self,
+        job: Job,
+        run: impl FnOnce(&mut FastSim) -> Result<(ClusterResult, R), Trap>,
+    ) -> Result<(FastRun, R), JobError> {
+        let mut sim = self.sim(&job, FastSim::from_artifacts, FastSim::from_pool);
+        if job.config.is_some() || job.budget.is_some() {
+            let mut rc = job.config.unwrap_or_else(|| self.arts.fast_config().clone());
+            if let Some(b) = job.budget {
+                rc.max_instructions = b;
+            }
+            sim.set_config(rc);
+        }
+        if let Some(cancel) = job.cancel {
+            sim.set_cancel(cancel);
+        }
+        let set = generate_problems(sim.memory(), &self.layout, job.seed);
+        let start = Instant::now();
+        let (result, extra) = run(&mut sim)?;
+        let wall = start.elapsed();
+        JobError::check_fast(&result, job.budget)?;
+        Ok((FastRun { wall, result, verified: verify(sim.memory(), &self.layout, &set) }, extra))
+    }
+}
+
+fn fast_outcome(run: FastRun) -> FastOutcome {
+    let instructions = run.result.total_instructions();
+    FastOutcome {
+        wall: run.wall,
+        cluster_cycles: run.result.cycles,
+        instructions,
+        raw_stalls: run.result.per_core.iter().map(|s| s.raw_stalls).sum(),
+        wfi_stalls: run.result.per_core.iter().map(|s| s.wfi_stalls).sum(),
+        mips: mips(instructions, run.wall),
+        verified: run.verified,
+    }
+}
+
+fn batch_outcome(run: FastRun) -> BatchOutcome {
+    let instructions = run.result.total_instructions();
+    BatchOutcome {
+        wall: run.wall,
+        cycles: run.result.cycles,
+        instructions,
+        mips: mips(instructions, run.wall),
+        verified: run.verified,
+    }
+}
+
 /// A prepared parallel-MMSE scenario: the immutable artifact set —
 /// topology, generated kernel image, decoded program and lowered micro-op
 /// tables — built **once** and shared (via [`SimArtifacts`]) by every job
 /// run from it, on either backend, at any seed.
 ///
-/// [`parallel_fast`] / [`parallel_cycle`] are one-shot wrappers; batch
-/// drivers ([`crate::serve::BatchRunner`] clients, the figure binaries)
-/// prepare a scenario and fan jobs out over it.
+/// Batch clients ([`crate::serve::BatchRunner`] jobs, the figure
+/// binaries) prepare a scenario and fan [`Job`]s out over it.
 #[derive(Debug)]
 pub struct ParallelScenario {
     config: ParallelConfig,
-    layout: ProblemLayout,
-    arts: Arc<SimArtifacts>,
+    prepared: Prepared,
 }
 
 impl ParallelScenario {
-    /// Builds the scenario's shared artifacts: picks the topology,
-    /// generates and assembles the kernel, translates it, and configures
-    /// the fast mode with the paper's rule (every access charged the
-    /// topology's largest non-contended latency, 9 cycles on full
-    /// TeraPool).
+    /// [`prepare_with`](Self::prepare_with) under the default
+    /// [`EngineOptions`].
     ///
     /// # Errors
     ///
     /// Propagates kernel build and translation errors.
     pub fn prepare(config: &ParallelConfig) -> Result<Self, Box<dyn Error>> {
-        Self::prepare_with_fusion(config, FusionMode::default())
+        Self::prepare_with(config, EngineOptions::default())
     }
 
-    /// As [`prepare`](Self::prepare) with an explicit
-    /// [`FusionMode`] for the scenario's fast-mode jobs — the A/B hook
-    /// behind the `tsim`/`terasim-serve` `--fusion` flags and the
-    /// fusion-off differential legs. Results are bit-identical either
-    /// way; only dispatch cost changes.
+    /// Builds the scenario's shared artifacts: picks the topology,
+    /// generates and assembles the kernel, translates it, and configures
+    /// the fast mode with the paper's rule (every access charged the
+    /// topology's largest non-contended latency, 9 cycles on full
+    /// TeraPool). `options` sets fusion for the fast-mode jobs and the
+    /// epoch cadence for the sharded cycle-mode jobs.
     ///
     /// # Errors
     ///
     /// Propagates kernel build and translation errors.
-    pub fn prepare_with_fusion(config: &ParallelConfig, fusion: FusionMode) -> Result<Self, Box<dyn Error>> {
-        Self::prepare_with(config, fusion, EpochMode::default())
-    }
-
-    /// As [`prepare_with_fusion`](Self::prepare_with_fusion) with an
-    /// explicit [`EpochMode`] for the scenario's sharded cycle-mode jobs
-    /// — the A/B hook behind the `tsim`/`terasim-serve` `--epochs` flags
-    /// and the adaptive-vs-fixed differential legs. Results are
-    /// bit-identical either way; only the epoch cadence changes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel build and translation errors.
-    pub fn prepare_with(
-        config: &ParallelConfig,
-        fusion: FusionMode,
-        epochs: EpochMode,
-    ) -> Result<Self, Box<dyn Error>> {
+    pub fn prepare_with(config: &ParallelConfig, options: EngineOptions) -> Result<Self, Box<dyn Error>> {
         let topo = topology_for(config.cores, config.cores, config.n, config.precision, 1);
         let kernel = kernel_for(config.n, config.precision, 1, config.cores, config.unroll);
-        let layout = kernel.layout(&topo)?;
-        let image = kernel.build(&topo)?;
-        let mut rc = RunConfig { fusion, epochs, ..RunConfig::default() };
+        let mut rc = options.run_config();
         rc.latency.load = topo.max_access_latency();
-        let arts = SimArtifacts::build_with(topo, &image, rc)?;
-        Ok(Self { config: *config, layout, arts })
+        Ok(Self { config: *config, prepared: Prepared::build(topo, &kernel, rc)? })
     }
 
     /// The scenario's shared artifact set.
     pub fn artifacts(&self) -> &Arc<SimArtifacts> {
-        &self.arts
+        &self.prepared.arts
     }
 
     /// The configuration the scenario was prepared from.
@@ -210,301 +377,77 @@ impl ParallelScenario {
         &self.config
     }
 
-    /// One fast-mode job at the scenario's own seed.
+    /// One fast-mode job on `host_threads` host threads. Memory, budget,
+    /// cancellation and any timing override come from `job`; results are
+    /// bit-identical whichever memory the job runs on.
     ///
     /// # Errors
     ///
-    /// Propagates guest traps.
-    pub fn run_fast(&self, host_threads: usize) -> Result<FastOutcome, Box<dyn Error>> {
-        self.run_fast_seeded(host_threads, self.config.seed)
+    /// Returns the [`JobError`] classifying the fault: trap, deadlock,
+    /// exhausted budget or cancellation.
+    pub fn fast(&self, host_threads: usize, job: Job) -> Result<FastOutcome, JobError> {
+        let (run, ()) = self.prepared.fast(job, |sim| Ok((sim.run_all(host_threads)?, ())))?;
+        Ok(fast_outcome(run))
     }
 
-    /// One fast-mode job with an explicit operand seed (batch drivers
-    /// derive per-job seeds; artifacts are shared regardless).
+    /// [`fast`](Self::fast) for an unsupervised job on fresh memory.
     ///
     /// # Errors
     ///
-    /// Propagates guest traps.
+    /// Returns the job's fault, boxed.
     pub fn run_fast_seeded(&self, host_threads: usize, seed: u64) -> Result<FastOutcome, Box<dyn Error>> {
-        self.fast_job(host_threads, seed, None)
-    }
-
-    /// One fast-mode job with an explicit ISS timing configuration (the
-    /// latency-model ablation, DESIGN.md D2). A configuration whose
-    /// latency model matches the scenario's still uses the shared table;
-    /// otherwise the job re-lowers privately.
-    ///
-    /// # Errors
-    ///
-    /// Propagates guest traps.
-    pub fn run_fast_configured(
-        &self,
-        host_threads: usize,
-        run_config: RunConfig,
-    ) -> Result<FastOutcome, Box<dyn Error>> {
-        self.fast_job(host_threads, self.config.seed, Some(run_config))
-    }
-
-    /// One fast-mode job drawing its cluster memory from a recycling
-    /// pool (built over this scenario's artifacts — see
-    /// [`SimArtifacts`]-tied [`MemPool`]); results are bit-identical to
-    /// [`run_fast_seeded`](Self::run_fast_seeded).
-    ///
-    /// # Errors
-    ///
-    /// Propagates guest traps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pool` was built over a different artifact set.
-    pub fn run_fast_pooled(
-        &self,
-        pool: &Arc<MemPool>,
-        host_threads: usize,
-        seed: u64,
-    ) -> Result<FastOutcome, Box<dyn Error>> {
-        assert!(Arc::ptr_eq(pool.artifacts(), &self.arts), "pool built over a different scenario");
-        self.fast_outcome(FastSim::from_pool(pool), host_threads, seed)
-    }
-
-    /// One fast-mode job run under a batch supervisor (the
-    /// [`BatchRunner::try_run`] family): draws cluster memory from the
-    /// batch's pool when one is attached over this scenario's artifacts,
-    /// applies the batch [`RunPolicy`](crate::serve::RunPolicy)'s per-job
-    /// instruction budget and cooperative cancel token, and surfaces
-    /// engine-level faults — traps, deadlocks, exhausted budgets,
-    /// cancellation — as structured [`JobError`]s instead of boxed
-    /// strings. Healthy jobs are bit-identical to
-    /// [`run_fast_seeded`](Self::run_fast_seeded).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`JobError`] classifying the fault, if any.
-    pub fn try_run_fast(
-        &self,
-        ctx: &JobCtx,
-        host_threads: usize,
-        seed: u64,
-    ) -> Result<FastOutcome, JobError> {
-        self.try_run_fast_with(ctx, host_threads, seed, ctx.budget())
-    }
-
-    /// As [`try_run_fast`](Self::try_run_fast) with an explicit per-job
-    /// instruction budget overriding the batch policy's (fault-injection
-    /// drivers shrink the budget of chosen jobs only).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`JobError`] classifying the fault, if any.
-    pub fn try_run_fast_with(
-        &self,
-        ctx: &JobCtx,
-        host_threads: usize,
-        seed: u64,
-        budget: Option<u64>,
-    ) -> Result<FastOutcome, JobError> {
-        let mut sim = match ctx.pool() {
-            Some(pool) if Arc::ptr_eq(pool.artifacts(), &self.arts) => FastSim::from_pool(pool),
-            _ => FastSim::from_artifacts(Arc::clone(&self.arts)),
-        };
-        if let Some(b) = budget {
-            // Same latency model, so the shared lowered table is kept.
-            let mut rc = self.arts.fast_config().clone();
-            rc.max_instructions = b;
-            sim.set_config(rc);
-        }
-        if let Some(cancel) = ctx.cancel() {
-            sim.set_cancel(cancel.clone());
-        }
-
-        let set = generate_problems(sim.memory(), &self.layout, seed);
-        let start = Instant::now();
-        let result = sim.run_all(host_threads).map_err(JobError::Trap)?;
-        let wall = start.elapsed();
-        JobError::check_fast(&result, budget)?;
-
-        let instructions = result.total_instructions();
-        Ok(FastOutcome {
-            wall,
-            cluster_cycles: result.cycles,
-            instructions,
-            raw_stalls: result.per_core.iter().map(|s| s.raw_stalls).sum(),
-            wfi_stalls: result.per_core.iter().map(|s| s.wfi_stalls).sum(),
-            mips: instructions as f64 / wall.as_secs_f64().max(1e-9) / 1e6,
-            verified: verify(sim.memory(), &self.layout, &set),
-        })
+        Ok(self.fast(host_threads, Job::new(seed))?)
     }
 
     /// One fast-mode job with fusion-coverage instrumentation: returns the
     /// outcome plus the dynamic uop-pair histogram and `fused_pct` merged
     /// across all harts (the `mips --fusion-report` leg). Instrumented
     /// execution order is unfused, so the outcome is bit-identical to
-    /// [`run_fast_seeded`](Self::run_fast_seeded) — but slower; don't use
-    /// its wall time for speed claims.
+    /// [`fast`](Self::fast) — but slower; don't use its wall time for
+    /// speed claims.
     ///
     /// # Errors
     ///
-    /// Propagates guest traps.
+    /// Returns the job's fault, boxed.
     pub fn run_fast_profiled(
         &self,
         host_threads: usize,
         seed: u64,
     ) -> Result<(FastOutcome, FusionProfile), Box<dyn Error>> {
-        let mut sim = FastSim::from_artifacts(Arc::clone(&self.arts));
-        let set = generate_problems(sim.memory(), &self.layout, seed);
-
-        let start = Instant::now();
-        let (result, prof) = sim.run_all_profiled(host_threads)?;
-        let wall = start.elapsed();
-
-        let instructions = result.total_instructions();
-        let outcome = FastOutcome {
-            wall,
-            cluster_cycles: result.cycles,
-            instructions,
-            raw_stalls: result.per_core.iter().map(|s| s.raw_stalls).sum(),
-            wfi_stalls: result.per_core.iter().map(|s| s.wfi_stalls).sum(),
-            mips: instructions as f64 / wall.as_secs_f64().max(1e-9) / 1e6,
-            verified: verify(sim.memory(), &self.layout, &set),
-        };
-        Ok((outcome, prof))
+        let (run, profile) = self.prepared.fast(Job::new(seed), |sim| sim.run_all_profiled(host_threads))?;
+        Ok((fast_outcome(run), profile))
     }
 
-    fn fast_job(
-        &self,
-        host_threads: usize,
-        seed: u64,
-        run_config: Option<RunConfig>,
-    ) -> Result<FastOutcome, Box<dyn Error>> {
-        let mut sim = FastSim::from_artifacts(Arc::clone(&self.arts));
-        if let Some(rc) = run_config {
-            sim.set_config(rc);
-        }
-        self.fast_outcome(sim, host_threads, seed)
-    }
-
-    fn fast_outcome(
-        &self,
-        mut sim: FastSim,
-        host_threads: usize,
-        seed: u64,
-    ) -> Result<FastOutcome, Box<dyn Error>> {
-        let set = generate_problems(sim.memory(), &self.layout, seed);
-
-        let start = Instant::now();
-        let result = sim.run_all(host_threads)?;
-        let wall = start.elapsed();
-
-        let instructions = result.total_instructions();
-        Ok(FastOutcome {
-            wall,
-            cluster_cycles: result.cycles,
-            instructions,
-            raw_stalls: result.per_core.iter().map(|s| s.raw_stalls).sum(),
-            wfi_stalls: result.per_core.iter().map(|s| s.wfi_stalls).sum(),
-            mips: instructions as f64 / wall.as_secs_f64().max(1e-9) / 1e6,
-            verified: verify(sim.memory(), &self.layout, &set),
-        })
-    }
-
-    /// One cycle-accurate job at the scenario's own seed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates guest traps.
-    pub fn run_cycle(&self, engine: CycleEngine) -> Result<CycleOutcome, Box<dyn Error>> {
-        self.run_cycle_seeded(engine, self.config.seed)
-    }
-
-    /// One cycle-accurate job with an explicit operand seed. In a batch,
-    /// pass `CycleEngine::Parallel(ctx.claimable_threads())` so a sharded
-    /// job widens into worker lanes the batch has stopped using — results
-    /// are bit-identical at every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates guest traps.
-    pub fn run_cycle_seeded(&self, engine: CycleEngine, seed: u64) -> Result<CycleOutcome, Box<dyn Error>> {
-        self.cycle_outcome(CycleSim::from_artifacts(Arc::clone(&self.arts)), engine, seed)
-    }
-
-    /// One cycle-accurate job drawing its cluster memory from a recycling
-    /// pool; results are bit-identical to
-    /// [`run_cycle_seeded`](Self::run_cycle_seeded).
-    ///
-    /// # Errors
-    ///
-    /// Propagates guest traps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pool` was built over a different artifact set.
-    pub fn run_cycle_pooled(
-        &self,
-        pool: &Arc<MemPool>,
-        engine: CycleEngine,
-        seed: u64,
-    ) -> Result<CycleOutcome, Box<dyn Error>> {
-        assert!(Arc::ptr_eq(pool.artifacts(), &self.arts), "pool built over a different scenario");
-        self.cycle_outcome(CycleSim::from_pool(pool), engine, seed)
-    }
-
-    /// One cycle-accurate job run under a batch supervisor: the
-    /// cycle-mode counterpart of [`try_run_fast`](Self::try_run_fast).
-    /// The policy's per-job instruction budget feeds the engine's
-    /// per-core safety net (`CycleSim::max_instructions`) and the cancel
-    /// token is polled between engine windows, scan passes and epoch
-    /// boundaries.
-    /// Healthy jobs are bit-identical to
-    /// [`run_cycle_seeded`](Self::run_cycle_seeded) on every engine.
+    /// One cycle-accurate job on `engine`. The job's budget feeds the
+    /// engine's per-core safety net (`CycleSim::max_instructions`) and
+    /// its cancel token is polled between engine windows, scan passes
+    /// and epoch boundaries. In a batch, pass
+    /// `CycleEngine::Parallel(ctx.claimable_threads())` so a sharded job
+    /// widens into worker lanes the batch has stopped using — results are
+    /// bit-identical on every engine at every thread count.
     ///
     /// # Errors
     ///
     /// Returns the [`JobError`] classifying the fault, if any.
-    pub fn try_run_cycle(
-        &self,
-        ctx: &JobCtx,
-        engine: CycleEngine,
-        seed: u64,
-    ) -> Result<CycleOutcome, JobError> {
-        self.try_run_cycle_with(ctx, engine, seed, ctx.budget())
-    }
-
-    /// As [`try_run_cycle`](Self::try_run_cycle) with an explicit per-job
-    /// instruction budget overriding the batch policy's.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`JobError`] classifying the fault, if any.
-    pub fn try_run_cycle_with(
-        &self,
-        ctx: &JobCtx,
-        engine: CycleEngine,
-        seed: u64,
-        budget: Option<u64>,
-    ) -> Result<CycleOutcome, JobError> {
-        let mut sim = match ctx.pool() {
-            Some(pool) if Arc::ptr_eq(pool.artifacts(), &self.arts) => CycleSim::from_pool(pool),
-            _ => CycleSim::from_artifacts(Arc::clone(&self.arts)),
-        };
-        if let Some(b) = budget {
+    pub fn cycle(&self, engine: CycleEngine, job: Job) -> Result<CycleOutcome, JobError> {
+        let p = &self.prepared;
+        let mut sim = p.sim(&job, CycleSim::from_artifacts, CycleSim::from_pool);
+        if let Some(b) = job.budget {
             sim.max_instructions = b;
         }
-        if let Some(cancel) = ctx.cancel() {
-            sim.set_cancel(cancel.clone());
+        if let Some(cancel) = job.cancel {
+            sim.set_cancel(cancel);
         }
-
-        let topo = self.arts.topology();
-        let set = generate_problems(sim.memory(), &self.layout, seed);
+        let topo = p.arts.topology();
+        let set = generate_problems(sim.memory(), &p.layout, job.seed);
         let start = Instant::now();
         let result = match engine {
             CycleEngine::EventDriven => sim.run(topo.num_cores()),
             CycleEngine::NaiveScan => sim.run_naive(topo.num_cores()),
             CycleEngine::Parallel(threads) => sim.run_parallel(topo.num_cores(), threads),
-        }
-        .map_err(JobError::Trap)?;
+        }?;
         let wall = start.elapsed();
-        JobError::check_cycle(&result, budget)?;
+        JobError::check_cycle(&result, job.budget)?;
 
         let breakdown = result.aggregate();
         Ok(CycleOutcome {
@@ -513,64 +456,19 @@ impl ParallelScenario {
             breakdown,
             per_group: result.aggregate_groups(&topo),
             instructions: breakdown.instructions,
-            verified: verify(sim.memory(), &self.layout, &set),
+            verified: verify(sim.memory(), &p.layout, &set),
             epochs: sim.epoch_report(),
         })
     }
 
-    fn cycle_outcome(
-        &self,
-        mut sim: CycleSim,
-        engine: CycleEngine,
-        seed: u64,
-    ) -> Result<CycleOutcome, Box<dyn Error>> {
-        let topo = self.arts.topology();
-        let set = generate_problems(sim.memory(), &self.layout, seed);
-
-        let start = Instant::now();
-        let result = match engine {
-            CycleEngine::EventDriven => sim.run(topo.num_cores())?,
-            CycleEngine::NaiveScan => sim.run_naive(topo.num_cores())?,
-            CycleEngine::Parallel(threads) => sim.run_parallel(topo.num_cores(), threads)?,
-        };
-        let wall = start.elapsed();
-
-        let breakdown = result.aggregate();
-        Ok(CycleOutcome {
-            wall,
-            cycles: result.cycles,
-            breakdown,
-            per_group: result.aggregate_groups(&topo),
-            instructions: breakdown.instructions,
-            verified: verify(sim.memory(), &self.layout, &set),
-            epochs: sim.epoch_report(),
-        })
+    /// [`cycle`](Self::cycle) for an unsupervised job on fresh memory.
+    ///
+    /// # Errors
+    ///
+    /// Returns the job's fault, boxed.
+    pub fn run_cycle_seeded(&self, engine: CycleEngine, seed: u64) -> Result<CycleOutcome, Box<dyn Error>> {
+        Ok(self.cycle(engine, Job::new(seed))?)
     }
-}
-
-/// Runs the parallel MMSE on the fast (Banshee-style) backend.
-///
-/// # Errors
-///
-/// Propagates kernel build, translation and guest traps.
-pub fn parallel_fast(config: &ParallelConfig, host_threads: usize) -> Result<FastOutcome, Box<dyn Error>> {
-    ParallelScenario::prepare(config)?.run_fast(host_threads)
-}
-
-/// As [`parallel_fast`] with an explicit ISS timing configuration — used
-/// by the latency-model ablation (DESIGN.md, D2) to compare the paper's
-/// uniform conservative 9-cycle load latency against topology-aware
-/// per-address latencies.
-///
-/// # Errors
-///
-/// Propagates kernel build, translation and guest traps.
-pub fn parallel_fast_configured(
-    config: &ParallelConfig,
-    host_threads: usize,
-    run_config: RunConfig,
-) -> Result<FastOutcome, Box<dyn Error>> {
-    ParallelScenario::prepare(config)?.run_fast_configured(host_threads, run_config)
 }
 
 /// Which cycle-accurate scheduler to drive (see [`CycleSim`]).
@@ -585,43 +483,6 @@ pub enum CycleEngine {
     /// up to this many host threads on multi-group topologies —
     /// bit-identical to the other two at any count.
     Parallel(usize),
-}
-
-/// Runs the parallel MMSE on the cycle-accurate backend (the RTL-simulation
-/// stand-in).
-///
-/// # Errors
-///
-/// Propagates kernel build, translation and guest traps.
-pub fn parallel_cycle(config: &ParallelConfig) -> Result<CycleOutcome, Box<dyn Error>> {
-    parallel_cycle_with_engine(config, CycleEngine::EventDriven)
-}
-
-/// As [`parallel_cycle`] on the epoch-sharded engine with `threads` host
-/// threads (domain-per-group; see `CycleSim::run_parallel`).
-///
-/// # Errors
-///
-/// Propagates kernel build, translation and guest traps.
-pub fn parallel_cycle_threads(
-    config: &ParallelConfig,
-    threads: usize,
-) -> Result<CycleOutcome, Box<dyn Error>> {
-    parallel_cycle_with_engine(config, CycleEngine::Parallel(threads))
-}
-
-/// As [`parallel_cycle`] with an explicit scheduler — the hook the `mips`
-/// bench and the differential tests use to compare the event-driven engine
-/// against the retained naive scan on identical workloads.
-///
-/// # Errors
-///
-/// Propagates kernel build, translation and guest traps.
-pub fn parallel_cycle_with_engine(
-    config: &ParallelConfig,
-    engine: CycleEngine,
-) -> Result<CycleOutcome, Box<dyn Error>> {
-    ParallelScenario::prepare(config)?.run_cycle(engine)
 }
 
 /// Configuration of the batched Monte-Carlo experiment (Figure 6): all
@@ -658,62 +519,42 @@ pub struct BatchOutcome {
 
 /// A prepared OFDM-symbol scenario: the batched single-Snitch kernel and
 /// its shared artifact set, built once; every simulated symbol is then a
-/// cheap per-job instantiation ([`SymbolScenario::run_symbol`]) that only
-/// pays for fresh memory, operand generation, the run and verification.
+/// cheap per-job instantiation ([`SymbolScenario::symbol`]) that only
+/// pays for its memory, operand generation, the run and verification.
 #[derive(Debug)]
 pub struct SymbolScenario {
     config: BatchConfig,
-    layout: ProblemLayout,
-    arts: Arc<SimArtifacts>,
+    prepared: Prepared,
 }
 
 impl SymbolScenario {
-    /// Builds the scenario's shared artifacts: one Snitch of the full
-    /// TeraPool cluster, as in the paper, with banks deepened when `nsc`
-    /// outgrows the taped-out tile SPM.
+    /// [`prepare_with`](Self::prepare_with) under the default
+    /// [`EngineOptions`].
     ///
     /// # Errors
     ///
     /// Propagates kernel build and translation errors.
     pub fn prepare(config: &BatchConfig) -> Result<Self, Box<dyn Error>> {
-        Self::prepare_with_fusion(config, FusionMode::default())
+        Self::prepare_with(config, EngineOptions::default())
     }
 
-    /// As [`prepare`](Self::prepare) with an explicit [`FusionMode`] for
-    /// the scenario's jobs (A/B and differential legs).
+    /// Builds the scenario's shared artifacts: one Snitch of the full
+    /// TeraPool cluster, as in the paper, with banks deepened when `nsc`
+    /// outgrows the taped-out tile SPM. A single-Snitch symbol job never
+    /// shards, so of `options` only fusion changes how its jobs run.
     ///
     /// # Errors
     ///
     /// Propagates kernel build and translation errors.
-    pub fn prepare_with_fusion(config: &BatchConfig, fusion: FusionMode) -> Result<Self, Box<dyn Error>> {
-        Self::prepare_with(config, fusion, EpochMode::default())
-    }
-
-    /// As [`prepare_with_fusion`](Self::prepare_with_fusion) with an
-    /// explicit [`EpochMode`] (A/B and differential legs; a single-Snitch
-    /// symbol job never shards, so the mode only matters when the same
-    /// scenario is also driven in cycle mode).
-    ///
-    /// # Errors
-    ///
-    /// Propagates kernel build and translation errors.
-    pub fn prepare_with(
-        config: &BatchConfig,
-        fusion: FusionMode,
-        epochs: EpochMode,
-    ) -> Result<Self, Box<dyn Error>> {
+    pub fn prepare_with(config: &BatchConfig, options: EngineOptions) -> Result<Self, Box<dyn Error>> {
         let topo = topology_for(1024, 1, config.n, config.precision, config.nsc);
         let kernel = kernel_for(config.n, config.precision, config.nsc, 1, config.unroll);
-        let layout = kernel.layout(&topo)?;
-        let image = kernel.build(&topo)?;
-        let rc = RunConfig { fusion, epochs, ..RunConfig::default() };
-        let arts = SimArtifacts::build_with(topo, &image, rc)?;
-        Ok(Self { config: *config, layout, arts })
+        Ok(Self { config: *config, prepared: Prepared::build(topo, &kernel, options.run_config())? })
     }
 
     /// The scenario's shared artifact set.
     pub fn artifacts(&self) -> &Arc<SimArtifacts> {
-        &self.arts
+        &self.prepared.arts
     }
 
     /// The configuration the scenario was prepared from.
@@ -722,84 +563,29 @@ impl SymbolScenario {
     }
 
     /// Simulates one OFDM symbol (`nsc` problems batched on a single
-    /// Snitch, one host thread) with operands drawn from `seed`.
+    /// Snitch, one host thread), with memory, budget and cancellation
+    /// from `job` as in [`ParallelScenario::fast`].
     ///
     /// # Errors
     ///
-    /// Propagates guest traps.
-    pub fn run_symbol(&self, seed: u64) -> Result<BatchOutcome, Box<dyn Error>> {
-        self.symbol_outcome(FastSim::from_artifacts(Arc::clone(&self.arts)), seed)
+    /// Returns the [`JobError`] classifying the fault, if any.
+    pub fn symbol(&self, job: Job) -> Result<BatchOutcome, JobError> {
+        let (run, ()) = self.prepared.fast(job, |sim| Ok((sim.run_cores(0..1, 1)?, ())))?;
+        Ok(batch_outcome(run))
     }
 
-    /// As [`run_symbol`](Self::run_symbol) with the job's cluster memory
-    /// drawn from a recycling pool over this scenario's artifacts —
-    /// bit-identical results, without the per-job 20 MiB arena
-    /// allocation (the dominant fixed cost of a small symbol job).
+    /// [`symbol`](Self::symbol) on memory from `pool`, unsupervised.
     ///
     /// # Errors
     ///
-    /// Propagates guest traps.
+    /// Returns the job's fault, boxed.
     ///
     /// # Panics
     ///
     /// Panics if `pool` was built over a different artifact set.
     pub fn run_symbol_pooled(&self, pool: &Arc<MemPool>, seed: u64) -> Result<BatchOutcome, Box<dyn Error>> {
-        assert!(Arc::ptr_eq(pool.artifacts(), &self.arts), "pool built over a different scenario");
-        self.symbol_outcome(FastSim::from_pool(pool), seed)
-    }
-
-    /// One OFDM-symbol job run under a batch supervisor: pool, budget and
-    /// cancellation wired exactly as in
-    /// [`ParallelScenario::try_run_fast`], faults surfaced as
-    /// [`JobError`]s. Healthy jobs are bit-identical to
-    /// [`run_symbol`](Self::run_symbol).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`JobError`] classifying the fault, if any.
-    pub fn try_run_symbol(&self, ctx: &JobCtx, seed: u64) -> Result<BatchOutcome, JobError> {
-        self.try_run_symbol_with(ctx, seed, ctx.budget())
-    }
-
-    /// As [`try_run_symbol`](Self::try_run_symbol) with an explicit
-    /// per-job instruction budget overriding the batch policy's.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`JobError`] classifying the fault, if any.
-    pub fn try_run_symbol_with(
-        &self,
-        ctx: &JobCtx,
-        seed: u64,
-        budget: Option<u64>,
-    ) -> Result<BatchOutcome, JobError> {
-        let mut sim = match ctx.pool() {
-            Some(pool) if Arc::ptr_eq(pool.artifacts(), &self.arts) => FastSim::from_pool(pool),
-            _ => FastSim::from_artifacts(Arc::clone(&self.arts)),
-        };
-        if let Some(b) = budget {
-            let mut rc = self.arts.fast_config().clone();
-            rc.max_instructions = b;
-            sim.set_config(rc);
-        }
-        if let Some(cancel) = ctx.cancel() {
-            sim.set_cancel(cancel.clone());
-        }
-
-        let set = generate_problems(sim.memory(), &self.layout, seed);
-        let start = Instant::now();
-        let result = sim.run_cores(0..1, 1).map_err(JobError::Trap)?;
-        let wall = start.elapsed();
-        JobError::check_fast(&result, budget)?;
-
-        let instructions = result.total_instructions();
-        Ok(BatchOutcome {
-            wall,
-            cycles: result.cycles,
-            instructions,
-            mips: instructions as f64 / wall.as_secs_f64().max(1e-9) / 1e6,
-            verified: verify(sim.memory(), &self.layout, &set),
-        })
+        assert!(Arc::ptr_eq(pool.artifacts(), self.artifacts()), "pool built over a different scenario");
+        Ok(self.symbol(Job { pool: Some(Arc::clone(pool)), ..Job::new(seed) })?)
     }
 
     /// One symbol job with fusion-coverage instrumentation (unfused
@@ -808,53 +594,11 @@ impl SymbolScenario {
     ///
     /// # Errors
     ///
-    /// Propagates guest traps.
+    /// Returns the job's fault, boxed.
     pub fn run_symbol_profiled(&self, seed: u64) -> Result<(BatchOutcome, FusionProfile), Box<dyn Error>> {
-        let mut sim = FastSim::from_artifacts(Arc::clone(&self.arts));
-        let set = generate_problems(sim.memory(), &self.layout, seed);
-
-        let start = Instant::now();
-        let (result, prof) = sim.run_cores_profiled(0..1, 1)?;
-        let wall = start.elapsed();
-
-        let instructions = result.total_instructions();
-        let outcome = BatchOutcome {
-            wall,
-            cycles: result.cycles,
-            instructions,
-            mips: instructions as f64 / wall.as_secs_f64().max(1e-9) / 1e6,
-            verified: verify(sim.memory(), &self.layout, &set),
-        };
-        Ok((outcome, prof))
+        let (run, profile) = self.prepared.fast(Job::new(seed), |sim| sim.run_cores_profiled(0..1, 1))?;
+        Ok((batch_outcome(run), profile))
     }
-
-    fn symbol_outcome(&self, mut sim: FastSim, seed: u64) -> Result<BatchOutcome, Box<dyn Error>> {
-        let set = generate_problems(sim.memory(), &self.layout, seed);
-
-        let start = Instant::now();
-        let result = sim.run_cores(0..1, 1)?;
-        let wall = start.elapsed();
-
-        let instructions = result.total_instructions();
-        Ok(BatchOutcome {
-            wall,
-            cycles: result.cycles,
-            instructions,
-            mips: instructions as f64 / wall.as_secs_f64().max(1e-9) / 1e6,
-            verified: verify(sim.memory(), &self.layout, &set),
-        })
-    }
-}
-
-/// Simulates one OFDM symbol (`nsc` problems) batched on a single core,
-/// on one host thread — the paper's single-thread MC iteration (a
-/// single-use [`SymbolScenario`]).
-///
-/// # Errors
-///
-/// Propagates kernel build, translation and guest traps.
-pub fn mc_symbol_single(config: &BatchConfig) -> Result<BatchOutcome, Box<dyn Error>> {
-    SymbolScenario::prepare(config)?.run_symbol(config.seed)
 }
 
 /// Simulates `symbols` independent OFDM symbols over `host_threads`
@@ -863,36 +607,25 @@ pub fn mc_symbol_single(config: &BatchConfig) -> Result<BatchOutcome, Box<dyn Er
 /// outcomes in submission order.
 ///
 /// All symbols share one artifact set and recycle cluster memories
-/// through the batch's [`MemPool`] (one arena per worker lane instead of
-/// one allocation per symbol); per-symbol seeds derive from the symbol
+/// through one [`MemPool`] (one arena per worker lane instead of one
+/// allocation per symbol); per-symbol seeds derive from the symbol
 /// index, so the outcomes are identical for any worker count and any
 /// work-stealing schedule, and bit-identical to unpooled per-symbol runs.
 ///
 /// # Errors
 ///
-/// Propagates the first failure from any symbol.
+/// Propagates the build error or the first failure from any symbol.
 pub fn mc_symbols_parallel(
     config: &BatchConfig,
     symbols: u32,
     host_threads: usize,
 ) -> Result<(Duration, Vec<BatchOutcome>), Box<dyn Error>> {
-    let start = Instant::now();
-    let scenario = SymbolScenario::prepare(config)?;
-    let outcomes = BatchRunner::with_workers(host_threads).run_pooled(
-        scenario.artifacts(),
-        (0..symbols).collect(),
-        |ctx, sym| {
-            scenario
-                .run_symbol_pooled(
-                    ctx.pool().expect("pooled batch"),
-                    config.seed.wrapping_add(u64::from(sym)),
-                )
-                .map_err(|e| e.to_string())
-        },
-    );
-    let wall = start.elapsed();
-    let outcomes: Result<Vec<_>, String> = outcomes.into_iter().collect();
-    Ok((wall, outcomes.map_err(|e| -> Box<dyn Error> { e.into() })?))
+    let (start, scenario) = (Instant::now(), SymbolScenario::prepare(config)?);
+    let pool = MemPool::new(Arc::clone(scenario.artifacts()));
+    let seed = |sym: u32| config.seed.wrapping_add(u64::from(sym));
+    let job = |ctx: &JobCtx, sym: u32| scenario.symbol(Job::from_ctx(ctx, seed(sym)));
+    let outcomes = BatchRunner::with_workers(host_threads).run_pooled_in(&pool, (0..symbols).collect(), job);
+    Ok((start.elapsed(), outcomes.into_iter().collect::<Result<_, _>>()?))
 }
 
 /// Runs a BER-vs-SNR sweep for one scenario and detector kind
@@ -920,8 +653,9 @@ mod tests {
     #[test]
     fn fast_and_cycle_agree_architecturally() {
         let config = ParallelConfig { cores: 8, n: 4, precision: Precision::WDotp8, seed: 9, unroll: 2 };
-        let fast = parallel_fast(&config, 2).unwrap();
-        let cycle = parallel_cycle(&config).unwrap();
+        let scenario = ParallelScenario::prepare(&config).unwrap();
+        let fast = scenario.run_fast_seeded(2, config.seed).unwrap();
+        let cycle = scenario.run_cycle_seeded(CycleEngine::EventDriven, config.seed).unwrap();
         assert!(fast.verified, "fast backend diverged from native model");
         assert!(cycle.verified, "cycle backend diverged from native model");
         assert_eq!(fast.instructions, cycle.instructions, "same retired instruction count");
@@ -931,7 +665,7 @@ mod tests {
     #[test]
     fn batch_runs_and_verifies() {
         let config = BatchConfig { n: 4, precision: Precision::CDotp16, nsc: 16, seed: 5, unroll: 2 };
-        let out = mc_symbol_single(&config).unwrap();
+        let out = SymbolScenario::prepare(&config).unwrap().symbol(Job::new(config.seed)).unwrap();
         assert!(out.verified);
         assert!(out.instructions > 16 * 500, "16 problems retired {}", out.instructions);
     }

@@ -55,14 +55,19 @@ pub struct MmseKernel {
 }
 
 impl MmseKernel {
+    /// Whether a kernel exists for `n × n` MIMO: `n` is 4, 8, 16 or 32.
+    pub fn supports_n(n: u32) -> bool {
+        n.is_power_of_two() && (4..=32).contains(&n)
+    }
+
     /// Creates a kernel for `n × n` MIMO in the given precision, one
     /// problem per core on all cores, with the paper's default unrolling.
     ///
     /// # Panics
     ///
-    /// Panics unless `n` is a power of two in `4..=32`.
+    /// Panics unless [`supports_n`](Self::supports_n) holds.
     pub fn new(n: u32, precision: Precision) -> Self {
-        assert!(n.is_power_of_two() && (4..=32).contains(&n), "n must be 4, 8, 16 or 32");
+        assert!(Self::supports_n(n), "n must be 4, 8, 16 or 32");
         Self { n, precision, problems_per_core: 1, active_cores: None, unroll: 2, bank_aligned_inputs: false }
     }
 

@@ -86,19 +86,21 @@ impl Topology {
         }
     }
 
+    /// Whether [`scaled`](Self::scaled) accepts `cores`: a power of two
+    /// in `8..=1024`.
+    pub fn supports_cores(cores: u32) -> bool {
+        cores.is_power_of_two() && (8..=1024).contains(&cores)
+    }
+
     /// A scaled cluster with `cores` cores (must be a multiple of 8 and a
     /// power of two ≥ 8), shrinking groups first, then subgroups, then
     /// tiles, so small configurations remain hierarchical.
     ///
     /// # Panics
     ///
-    /// Panics if `cores` is not a power of two multiple of 8 or exceeds
-    /// 1024.
+    /// Panics unless [`supports_cores`](Self::supports_cores) holds.
     pub fn scaled(cores: u32) -> Self {
-        assert!(
-            cores.is_power_of_two() && (8..=1024).contains(&cores),
-            "cores must be a power of two in 8..=1024"
-        );
+        assert!(Self::supports_cores(cores), "cores must be a power of two in 8..=1024");
         let mut topo = Self::terapool();
         let mut have = topo.num_cores();
         while have > cores {

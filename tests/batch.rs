@@ -6,7 +6,7 @@
 //! worker lanes through the epoch-sharded engine.
 
 use terasim::experiments::{
-    self, BatchConfig, CycleEngine, ParallelConfig, ParallelScenario, SymbolScenario,
+    self, BatchConfig, CycleEngine, Job, ParallelConfig, ParallelScenario, SymbolScenario,
 };
 use terasim::serve::BatchRunner;
 use terasim_kernels::Precision;
@@ -27,7 +27,7 @@ fn fast_symbol_batch_is_bit_identical_to_serial_rebuilds() {
         .map(|j| {
             let mut c = config;
             c.seed = config.seed.wrapping_add(u64::from(j));
-            symbol_key(&experiments::mc_symbol_single(&c).unwrap())
+            symbol_key(&SymbolScenario::prepare(&c).unwrap().symbol(Job::new(c.seed)).unwrap())
         })
         .collect();
     assert!(serial.iter().all(|k| k.2), "serial reference runs must verify");
@@ -38,7 +38,7 @@ fn fast_symbol_batch_is_bit_identical_to_serial_rebuilds() {
     let scenario = SymbolScenario::prepare(&config).unwrap();
     for workers in [1usize, 2, 4, 7] {
         let batch = BatchRunner::with_workers(workers).run((0..jobs).collect(), |_ctx, j| {
-            symbol_key(&scenario.run_symbol(config.seed.wrapping_add(u64::from(j))).unwrap())
+            symbol_key(&scenario.symbol(Job::new(config.seed.wrapping_add(u64::from(j)))).unwrap())
         });
         assert_eq!(batch, serial, "fast batch diverged at {workers} workers");
     }
@@ -54,7 +54,7 @@ fn parallel_fast_batch_matches_serial_at_cluster_scale() {
         .map(|j| {
             let mut c = config;
             c.seed = config.seed.wrapping_add(j);
-            let out = experiments::parallel_fast(&c, 1).unwrap();
+            let out = ParallelScenario::prepare(&c).and_then(|s| s.run_fast_seeded(1, c.seed)).unwrap();
             assert!(out.verified);
             (out.cluster_cycles, out.instructions)
         })
@@ -83,7 +83,9 @@ fn cycle_batch_is_bit_identical_on_multi_group_topology() {
         .map(|j| {
             let mut c = config;
             c.seed = config.seed.wrapping_add(j);
-            let out = experiments::parallel_cycle_with_engine(&c, CycleEngine::EventDriven).unwrap();
+            let out = ParallelScenario::prepare(&c)
+                .and_then(|s| s.run_cycle_seeded(CycleEngine::EventDriven, c.seed))
+                .unwrap();
             assert!(out.verified);
             (out.cycles, out.breakdown, out.instructions)
         })

@@ -10,7 +10,7 @@ use terasim::daemon::{
     open_loop, standard_mix, ArtifactCache, CachedScenario, Daemon, DaemonConfig, Rejected, ServeError,
     ServeRequest, ServeResponse, Ticket,
 };
-use terasim::experiments::{self, BatchConfig};
+use terasim::experiments::{self, BatchConfig, Job, SymbolScenario};
 use terasim::faults;
 use terasim::serve::{BatchRunner, JobError, RunPolicy};
 use terasim_kernels::Precision;
@@ -40,7 +40,7 @@ fn daemon_served_symbols_match_fresh_serial_at_every_worker_count() {
         .map(|j| {
             let mut c = config;
             c.seed = config.seed.wrapping_add(j);
-            symbol_key(&experiments::mc_symbol_single(&c).unwrap())
+            symbol_key(&SymbolScenario::prepare(&c).unwrap().symbol(Job::new(c.seed)).unwrap())
         })
         .collect();
     assert!(serial.iter().all(|k| k.2), "fresh reference runs must verify");
@@ -165,7 +165,7 @@ fn quarantine_accounting_survives_cache_eviction() {
     let config = scenario(4, 4, 9);
     let scenario_handle = experiments::SymbolScenario::prepare(&config).unwrap();
     let policy = RunPolicy::new();
-    let out = BatchRunner::with_workers(1).try_run_pooled_in(&policy, cached.pool(), (0..2u32).collect(), {
+    let out = BatchRunner::with_workers(1).try_run(&policy, Some(cached.pool()), (0..2u32).collect(), {
         let pool = cached.pool();
         move |ctx, &j| {
             if j == 0 {
@@ -176,7 +176,7 @@ fn quarantine_accounting_survives_cache_eviction() {
             // scenario's (separate builds), so the job falls back to
             // fresh memory for the run itself — the quarantine above is
             // what this test is about.
-            scenario_handle.try_run_symbol(ctx, config.seed.wrapping_add(u64::from(j)))
+            scenario_handle.symbol(Job::from_ctx(ctx, config.seed.wrapping_add(u64::from(j))))
         }
     });
     assert!(

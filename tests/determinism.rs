@@ -2,7 +2,7 @@
 //! "deterministic behavior" — identical results regardless of host thread
 //! count, run repetition, or backend.
 
-use terasim::experiments::{self, ParallelConfig};
+use terasim::experiments::{CycleEngine, ParallelConfig, ParallelScenario};
 use terasim_kernels::{data, MmseKernel, Precision};
 use terasim_phy::{ChannelKind, Mimo, Modulation, TxGenerator};
 use terasim_terapool::{FastSim, Topology};
@@ -40,12 +40,18 @@ fn thread_count_does_not_change_results() {
 #[test]
 fn repeated_runs_identical_cycles() {
     let config = ParallelConfig { cores: 8, n: 4, precision: Precision::WDotp16, seed: 55, unroll: 2 };
-    let a = experiments::parallel_fast(&config, 2).unwrap();
-    let b = experiments::parallel_fast(&config, 1).unwrap();
+    let fast =
+        |threads| ParallelScenario::prepare(&config).and_then(|s| s.run_fast_seeded(threads, config.seed));
+    let cycle = || {
+        ParallelScenario::prepare(&config)
+            .and_then(|s| s.run_cycle_seeded(CycleEngine::EventDriven, config.seed))
+    };
+    let a = fast(2).unwrap();
+    let b = fast(1).unwrap();
     assert_eq!(a.cluster_cycles, b.cluster_cycles, "cycle estimate must not depend on host threads");
     assert_eq!(a.instructions, b.instructions);
-    let c1 = experiments::parallel_cycle(&config).unwrap();
-    let c2 = experiments::parallel_cycle(&config).unwrap();
+    let c1 = cycle().unwrap();
+    let c2 = cycle().unwrap();
     assert_eq!(c1.cycles, c2.cycles);
     assert_eq!(c1.breakdown.stall_lsu, c2.breakdown.stall_lsu);
 }
@@ -93,7 +99,7 @@ fn seeds_change_data_but_not_instruction_count_much() {
     // Control flow is data-independent (no data-dependent branches in the
     // kernel), so the retired instruction count is identical across seeds.
     let mk = |seed| ParallelConfig { cores: 8, n: 4, precision: Precision::Half16, seed, unroll: 2 };
-    let a = experiments::parallel_fast(&mk(1), 2).unwrap();
-    let b = experiments::parallel_fast(&mk(2), 2).unwrap();
+    let a = ParallelScenario::prepare(&mk(1)).and_then(|s| s.run_fast_seeded(2, 1)).unwrap();
+    let b = ParallelScenario::prepare(&mk(2)).and_then(|s| s.run_fast_seeded(2, 2)).unwrap();
     assert_eq!(a.instructions, b.instructions, "kernel control flow is data-independent");
 }

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 use terasim::experiments::{
-    self, BatchConfig, CycleEngine, ParallelConfig, ParallelScenario, SymbolScenario,
+    self, BatchConfig, CycleEngine, Job, ParallelConfig, ParallelScenario, SymbolScenario,
 };
 use terasim::faults::{self, Fault, FaultPlan};
 use terasim::serve::{BatchRunner, JobError, RunPolicy};
@@ -31,7 +31,7 @@ fn serial_symbols(config: &BatchConfig, jobs: u32) -> Vec<(u64, u64, bool)> {
         .map(|j| {
             let mut c = *config;
             c.seed = config.seed.wrapping_add(u64::from(j));
-            symbol_key(&experiments::mc_symbol_single(&c).unwrap())
+            symbol_key(&SymbolScenario::prepare(&c).unwrap().symbol(Job::new(c.seed)).unwrap())
         })
         .collect()
 }
@@ -60,14 +60,14 @@ fn injected_faults_surface_at_their_indices_and_nowhere_else() {
         match plan.fault(j as usize) {
             Some(Fault::Panic) => faults::inject_panic(j as usize),
             Some(Fault::Trap) => Err(faults::run_fault_guest_fast(&trap_arts, 1)),
-            Some(Fault::BudgetExhaust { budget }) => {
-                scenario.try_run_symbol_with(ctx, seed, Some(budget)).map(|o| symbol_key(&o))
-            }
+            Some(Fault::BudgetExhaust { budget }) => scenario
+                .symbol(Job { budget: Some(budget), ..Job::from_ctx(ctx, seed) })
+                .map(|o| symbol_key(&o)),
             Some(Fault::Slow { spins }) => {
                 faults::spin(spins);
-                scenario.try_run_symbol(ctx, seed).map(|o| symbol_key(&o))
+                scenario.symbol(Job::from_ctx(ctx, seed)).map(|o| symbol_key(&o))
             }
-            Some(Fault::Deadlock) | None => scenario.try_run_symbol(ctx, seed).map(|o| symbol_key(&o)),
+            Some(Fault::Deadlock) | None => scenario.symbol(Job::from_ctx(ctx, seed)).map(|o| symbol_key(&o)),
         }
     };
 
@@ -75,9 +75,10 @@ fn injected_faults_surface_at_their_indices_and_nowhere_else() {
         for pooled in [false, true] {
             let runner = BatchRunner::with_workers(workers);
             let out = if pooled {
-                runner.try_run_pooled(scenario.artifacts(), (0..jobs).collect(), |ctx, &j| job(ctx, j))
+                let pool = MemPool::new(Arc::clone(scenario.artifacts()));
+                runner.try_run(&RunPolicy::default(), Some(&pool), (0..jobs).collect(), |ctx, &j| job(ctx, j))
             } else {
-                runner.try_run((0..jobs).collect(), |ctx, &j| job(ctx, j))
+                runner.try_run(&RunPolicy::default(), None, (0..jobs).collect(), |ctx, &j| job(ctx, j))
             };
             let tag = format!("{workers} workers, pooled={pooled}");
 
@@ -126,13 +127,16 @@ fn deadlocked_guest_fails_its_own_index_with_correct_neighbours() {
                         faults::run_fault_guest_fast(&deadlock_arts, 4)
                     });
                 }
-                scenario.try_run_symbol(ctx, config.seed.wrapping_add(u64::from(j))).map(|o| symbol_key(&o))
+                scenario
+                    .symbol(Job::from_ctx(ctx, config.seed.wrapping_add(u64::from(j))))
+                    .map(|o| symbol_key(&o))
             };
             let runner = BatchRunner::with_workers(workers);
             let out = if pooled {
-                runner.try_run_pooled(scenario.artifacts(), (0..jobs).collect(), |ctx, &j| job(ctx, j))
+                let pool = MemPool::new(Arc::clone(scenario.artifacts()));
+                runner.try_run(&RunPolicy::default(), Some(&pool), (0..jobs).collect(), |ctx, &j| job(ctx, j))
             } else {
-                runner.try_run((0..jobs).collect(), |ctx, &j| job(ctx, j))
+                runner.try_run(&RunPolicy::default(), None, (0..jobs).collect(), |ctx, &j| job(ctx, j))
             };
             let tag = format!("{workers} workers, pooled={pooled}");
             assert_eq!(
@@ -162,7 +166,9 @@ fn cycle_batch_with_injected_faults_is_bit_identical_elsewhere() {
         .map(|j| {
             let mut c = config;
             c.seed = config.seed.wrapping_add(j);
-            let out = experiments::parallel_cycle_with_engine(&c, CycleEngine::EventDriven).unwrap();
+            let out = ParallelScenario::prepare(&c)
+                .and_then(|s| s.run_cycle_seeded(CycleEngine::EventDriven, c.seed))
+                .unwrap();
             (out.cycles, out.instructions, out.verified)
         })
         .collect();
@@ -170,18 +176,26 @@ fn cycle_batch_with_injected_faults_is_bit_identical_elsewhere() {
     let scenario = ParallelScenario::prepare(&config).unwrap();
     let trap_arts = faults::trap_artifacts(Topology::scaled(8));
     for workers in [1usize, 2] {
-        let out = BatchRunner::with_workers(workers).try_run((0..jobs).collect(), |ctx, &j| {
-            let seed = config.seed.wrapping_add(j);
-            match plan.fault(j as usize) {
-                Some(Fault::Trap) => Err(faults::run_fault_guest_cycle(&trap_arts, 1)),
-                Some(Fault::BudgetExhaust { budget }) => scenario
-                    .try_run_cycle_with(ctx, CycleEngine::EventDriven, seed, Some(budget))
-                    .map(|o| (o.cycles, o.instructions, o.verified)),
-                _ => scenario
-                    .try_run_cycle(ctx, CycleEngine::EventDriven, seed)
-                    .map(|o| (o.cycles, o.instructions, o.verified)),
-            }
-        });
+        let out = BatchRunner::with_workers(workers).try_run(
+            &RunPolicy::default(),
+            None,
+            (0..jobs).collect(),
+            |ctx, &j| {
+                let seed = config.seed.wrapping_add(j);
+                match plan.fault(j as usize) {
+                    Some(Fault::Trap) => Err(faults::run_fault_guest_cycle(&trap_arts, 1)),
+                    Some(Fault::BudgetExhaust { budget }) => scenario
+                        .cycle(
+                            CycleEngine::EventDriven,
+                            Job { budget: Some(budget), ..Job::from_ctx(ctx, seed) },
+                        )
+                        .map(|o| (o.cycles, o.instructions, o.verified)),
+                    _ => scenario
+                        .cycle(CycleEngine::EventDriven, Job::from_ctx(ctx, seed))
+                        .map(|o| (o.cycles, o.instructions, o.verified)),
+                }
+            },
+        );
         assert_eq!(out[1], Err(JobError::Trap(Trap::IllegalFetch { pc: 0 })), "{workers} workers");
         assert_eq!(out[2], Err(JobError::BudgetExhausted { budget: 100 }), "{workers} workers");
         for i in [0usize, 3] {
@@ -201,13 +215,19 @@ fn budget_exhaustion_is_backend_and_engine_invariant() {
     let budget = 200u64;
     let policy = RunPolicy::new().with_budget(budget);
 
-    let out = BatchRunner::with_workers(2).try_run_with(&policy, (0..4u32).collect(), |ctx, &j| {
+    let out = BatchRunner::with_workers(2).try_run(&policy, None, (0..4u32).collect(), |ctx, &j| {
         match j {
             // The policy's budget reaches every engine through `JobCtx`.
-            0 => scenario.try_run_fast(ctx, 1, config.seed).map(|o| o.instructions),
-            1 => scenario.try_run_cycle(ctx, CycleEngine::EventDriven, config.seed).map(|o| o.instructions),
-            2 => scenario.try_run_cycle(ctx, CycleEngine::NaiveScan, config.seed).map(|o| o.instructions),
-            _ => scenario.try_run_cycle(ctx, CycleEngine::Parallel(2), config.seed).map(|o| o.instructions),
+            0 => scenario.fast(1, Job::from_ctx(ctx, config.seed)).map(|o| o.instructions),
+            1 => scenario
+                .cycle(CycleEngine::EventDriven, Job::from_ctx(ctx, config.seed))
+                .map(|o| o.instructions),
+            2 => scenario
+                .cycle(CycleEngine::NaiveScan, Job::from_ctx(ctx, config.seed))
+                .map(|o| o.instructions),
+            _ => scenario
+                .cycle(CycleEngine::Parallel(2), Job::from_ctx(ctx, config.seed))
+                .map(|o| o.instructions),
         }
     });
     for (i, r) in out.iter().enumerate() {
@@ -215,10 +235,12 @@ fn budget_exhaustion_is_backend_and_engine_invariant() {
     }
 
     // And with a per-job override lifting the budget, the same jobs pass.
-    let ok = BatchRunner::with_workers(2).try_run_with(&policy, (0..2u32).collect(), |ctx, &j| match j {
-        0 => scenario.try_run_fast_with(ctx, 1, config.seed, None).map(|o| o.instructions),
+    let ok = BatchRunner::with_workers(2).try_run(&policy, None, (0..2u32).collect(), |ctx, &j| match j {
+        0 => {
+            scenario.fast(1, Job { budget: None, ..Job::from_ctx(ctx, config.seed) }).map(|o| o.instructions)
+        }
         _ => scenario
-            .try_run_cycle_with(ctx, CycleEngine::EventDriven, config.seed, None)
+            .cycle(CycleEngine::EventDriven, Job { budget: None, ..Job::from_ctx(ctx, config.seed) })
             .map(|o| o.instructions),
     });
     let fast = ok[0].as_ref().expect("unbudgeted fast job completes");
@@ -239,7 +261,7 @@ fn cancelling_mid_batch_abandons_running_and_pending_jobs() {
         let cancel = CancelToken::new();
         let policy = RunPolicy::new().with_cancel(cancel.clone());
         let trigger = cancel.clone();
-        let out = BatchRunner::with_workers(1).try_run_with(&policy, (0..4u32).collect(), |ctx, &j| {
+        let out = BatchRunner::with_workers(1).try_run(&policy, None, (0..4u32).collect(), |ctx, &j| {
             if j == 1 {
                 // Raised while job 1 is already past the dispatch check:
                 // the engine itself must notice at its next safe point.
@@ -247,9 +269,9 @@ fn cancelling_mid_batch_abandons_running_and_pending_jobs() {
             }
             let seed = config.seed.wrapping_add(u64::from(j));
             if cycle_backend {
-                scenario.try_run_cycle(ctx, CycleEngine::EventDriven, seed).map(|o| o.instructions)
+                scenario.cycle(CycleEngine::EventDriven, Job::from_ctx(ctx, seed)).map(|o| o.instructions)
             } else {
-                scenario.try_run_fast(ctx, 1, seed).map(|o| o.instructions)
+                scenario.fast(1, Job::from_ctx(ctx, seed)).map(|o| o.instructions)
             }
         });
         assert!(out[0].is_ok(), "job 0 completed before the cancel (cycle={cycle_backend})");
@@ -270,8 +292,12 @@ fn panicked_jobs_quarantine_their_arena() {
 
     // One lane: jobs run strictly in submission order, so job 2 observes
     // the pool exactly one panic and one healthy run later.
-    let out =
-        BatchRunner::with_workers(1).try_run_pooled(scenario.artifacts(), (0..3u32).collect(), |ctx, &j| {
+    let pool = MemPool::new(Arc::clone(scenario.artifacts()));
+    let out = BatchRunner::with_workers(1).try_run(
+        &RunPolicy::default(),
+        Some(&pool),
+        (0..3u32).collect(),
+        |ctx, &j| {
             let pool = ctx.pool().expect("pooled batch");
             if j == 0 {
                 // Panic while holding a pooled simulator: the unwind runs
@@ -280,10 +306,11 @@ fn panicked_jobs_quarantine_their_arena() {
                 faults::inject_panic(0);
             }
             let key = scenario
-                .try_run_symbol(ctx, config.seed.wrapping_add(u64::from(j)))
+                .symbol(Job::from_ctx(ctx, config.seed.wrapping_add(u64::from(j))))
                 .map(|o| symbol_key(&o))?;
             Ok((key, pool.stats().quarantined))
-        });
+        },
+    );
 
     assert_eq!(out[0], Err(JobError::Panicked { payload: faults::panic_payload(0) }));
     let (key1, quarantined1) = out[1].clone().expect("job 1 healthy");

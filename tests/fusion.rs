@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use terasim::experiments::{self, BatchConfig, SymbolScenario};
+use terasim::experiments::{self, BatchConfig, EngineOptions, Job, SymbolScenario};
 use terasim::faults;
 use terasim::serve::{BatchRunner, JobError};
 use terasim_iss::{
@@ -159,12 +159,18 @@ fn symbol_key(o: &experiments::BatchOutcome) -> (u64, u64, bool) {
 fn symbol_batches_identical_fused_and_unfused_at_every_worker_count() {
     let config = BatchConfig { n: 4, precision: Precision::CDotp16, nsc: 4, seed: 77, unroll: 2 };
     let jobs = 8u32;
-    let on = SymbolScenario::prepare_with_fusion(&config, FusionMode::On).unwrap();
-    let off = SymbolScenario::prepare_with_fusion(&config, FusionMode::Off).unwrap();
+    let on =
+        SymbolScenario::prepare_with(&config, EngineOptions { fusion: FusionMode::On, ..Default::default() })
+            .unwrap();
+    let off = SymbolScenario::prepare_with(
+        &config,
+        EngineOptions { fusion: FusionMode::Off, ..Default::default() },
+    )
+    .unwrap();
 
     // Serial reference: the unfused interpreter, one fresh run per job.
     let serial: Vec<(u64, u64, bool)> = (0..jobs)
-        .map(|j| symbol_key(&off.run_symbol(config.seed.wrapping_add(u64::from(j))).unwrap()))
+        .map(|j| symbol_key(&off.symbol(Job::new(config.seed.wrapping_add(u64::from(j)))).unwrap()))
         .collect();
 
     for workers in [1usize, 2, 4, 7] {
@@ -172,7 +178,8 @@ fn symbol_batches_identical_fused_and_unfused_at_every_worker_count() {
             for (label, scenario) in [("fused", &on), ("unfused", &off)] {
                 let runner = BatchRunner::with_workers(workers);
                 let keys: Vec<(u64, u64, bool)> = if pooled {
-                    runner.run_pooled(scenario.artifacts(), (0..jobs).collect(), |ctx, j| {
+                    let pool = terasim_terapool::MemPool::new(Arc::clone(scenario.artifacts()));
+                    runner.run_pooled_in(&pool, (0..jobs).collect(), |ctx, j| {
                         scenario
                             .run_symbol_pooled(
                                 ctx.pool().expect("pooled batch"),
@@ -184,7 +191,7 @@ fn symbol_batches_identical_fused_and_unfused_at_every_worker_count() {
                 } else {
                     runner.run((0..jobs).collect(), |_ctx, j| {
                         scenario
-                            .run_symbol(config.seed.wrapping_add(u64::from(j)))
+                            .symbol(Job::new(config.seed.wrapping_add(u64::from(j))))
                             .map(|o| symbol_key(&o))
                             .map_err(|e| e.to_string())
                     })
@@ -323,8 +330,10 @@ fn spmd_forced_divergence_identical_at_16_and_512_cores() {
 #[test]
 fn profiled_engine_identical_and_histogram_covers_all_retirements() {
     let config = BatchConfig { n: 4, precision: Precision::Half16, nsc: 2, seed: 5, unroll: 2 };
-    let on = SymbolScenario::prepare_with_fusion(&config, FusionMode::On).unwrap();
-    let base = on.run_symbol(config.seed).unwrap();
+    let on =
+        SymbolScenario::prepare_with(&config, EngineOptions { fusion: FusionMode::On, ..Default::default() })
+            .unwrap();
+    let base = on.symbol(Job::new(config.seed)).unwrap();
     let (out, prof) = on.run_symbol_profiled(config.seed).unwrap();
     assert_eq!(symbol_key(&out), symbol_key(&base), "profiled run diverged");
     let paired: u64 = prof.pair_counts.iter().flatten().sum();

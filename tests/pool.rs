@@ -4,12 +4,15 @@
 //! (hence every recycling order and dirty history), on both backends and
 //! for ISS-in-the-loop BER batches.
 
+use std::sync::Arc;
+
 use terasim::experiments::{
-    self, BatchConfig, CycleEngine, ParallelConfig, ParallelScenario, SymbolScenario,
+    self, BatchConfig, CycleEngine, Job, ParallelConfig, ParallelScenario, SymbolScenario,
 };
 use terasim::serve::BatchRunner;
 use terasim::DetectorKind;
 use terasim_kernels::Precision;
+use terasim_terapool::MemPool;
 
 /// Per-job fingerprint of a fast-mode symbol run.
 fn symbol_key(o: &experiments::BatchOutcome) -> (u64, u64, bool) {
@@ -27,15 +30,15 @@ fn pooled_fast_symbol_batch_matches_fresh_serial_rebuilds() {
         .map(|j| {
             let mut c = config;
             c.seed = config.seed.wrapping_add(u64::from(j));
-            symbol_key(&experiments::mc_symbol_single(&c).unwrap())
+            symbol_key(&SymbolScenario::prepare(&c).unwrap().symbol(Job::new(c.seed)).unwrap())
         })
         .collect();
     assert!(serial.iter().all(|k| k.2), "fresh reference runs must verify");
 
     let scenario = SymbolScenario::prepare(&config).unwrap();
     for workers in [1usize, 2, 4, 7] {
-        let batch = BatchRunner::with_workers(workers).run_pooled(
-            scenario.artifacts(),
+        let batch = BatchRunner::with_workers(workers).run_pooled_in(
+            &MemPool::new(Arc::clone(scenario.artifacts())),
             (0..jobs).collect(),
             |ctx, j| {
                 let pool = ctx.pool().expect("pooled batch");
@@ -59,7 +62,9 @@ fn pooled_cycle_batch_matches_fresh_on_multi_group_topology() {
         .map(|j| {
             let mut c = config;
             c.seed = config.seed.wrapping_add(j);
-            let out = experiments::parallel_cycle_with_engine(&c, CycleEngine::EventDriven).unwrap();
+            let out = ParallelScenario::prepare(&c)
+                .and_then(|s| s.run_cycle_seeded(CycleEngine::EventDriven, c.seed))
+                .unwrap();
             assert!(out.verified);
             (out.cycles, out.breakdown, out.instructions)
         })
@@ -67,18 +72,13 @@ fn pooled_cycle_batch_matches_fresh_on_multi_group_topology() {
 
     let scenario = ParallelScenario::prepare(&config).unwrap();
     for workers in [1usize, 2, 4, 7] {
-        let batch = BatchRunner::with_workers(workers).run_pooled(
-            scenario.artifacts(),
+        let batch = BatchRunner::with_workers(workers).run_pooled_in(
+            &MemPool::new(Arc::clone(scenario.artifacts())),
             (0..jobs).collect(),
             |ctx, j| {
                 let pool = ctx.pool().expect("pooled batch");
-                let out = scenario
-                    .run_cycle_pooled(
-                        pool,
-                        CycleEngine::Parallel(ctx.claimable_threads()),
-                        config.seed.wrapping_add(j),
-                    )
-                    .unwrap();
+                let job = Job { pool: Some(Arc::clone(pool)), ..Job::new(config.seed.wrapping_add(j)) };
+                let out = scenario.cycle(CycleEngine::Parallel(ctx.claimable_threads()), job).unwrap();
                 assert!(out.verified);
                 (out.cycles, out.breakdown, out.instructions)
             },
@@ -97,20 +97,20 @@ fn pooled_parallel_fast_batch_matches_fresh_serial() {
         .map(|j| {
             let mut c = config;
             c.seed = config.seed.wrapping_add(j);
-            let out = experiments::parallel_fast(&c, 1).unwrap();
+            let out = ParallelScenario::prepare(&c).and_then(|s| s.run_fast_seeded(1, c.seed)).unwrap();
             assert!(out.verified);
             (out.cluster_cycles, out.instructions)
         })
         .collect();
     let scenario = ParallelScenario::prepare(&config).unwrap();
     for workers in [1usize, 2, 4, 7] {
-        let batch = BatchRunner::with_workers(workers).run_pooled(
-            scenario.artifacts(),
+        let batch = BatchRunner::with_workers(workers).run_pooled_in(
+            &MemPool::new(Arc::clone(scenario.artifacts())),
             (0..jobs).collect(),
             |ctx, j| {
-                let out = scenario
-                    .run_fast_pooled(ctx.pool().expect("pooled batch"), 1, config.seed.wrapping_add(j))
-                    .unwrap();
+                let pool = ctx.pool().expect("pooled batch");
+                let job = Job { pool: Some(Arc::clone(pool)), ..Job::new(config.seed.wrapping_add(j)) };
+                let out = scenario.fast(1, job).unwrap();
                 assert!(out.verified);
                 (out.cluster_cycles, out.instructions)
             },
@@ -157,7 +157,7 @@ fn mc_symbols_parallel_recycles_invariantly() {
     let config = BatchConfig { n: 4, precision: Precision::Half16, nsc: 4, seed: 23, unroll: 2 };
     let scenario = SymbolScenario::prepare(&config).unwrap();
     let unpooled: Vec<_> = (0..5u32)
-        .map(|s| symbol_key(&scenario.run_symbol(config.seed.wrapping_add(u64::from(s))).unwrap()))
+        .map(|s| symbol_key(&scenario.symbol(Job::new(config.seed.wrapping_add(u64::from(s)))).unwrap()))
         .collect();
     for threads in [1usize, 3] {
         let (_, outcomes) = experiments::mc_symbols_parallel(&config, 5, threads).unwrap();
@@ -167,4 +167,38 @@ fn mc_symbols_parallel_recycles_invariantly() {
             "pooled mc_symbols_parallel diverged at {threads} workers"
         );
     }
+}
+
+/// The single pool rule: a job whose pool was built over a *different*
+/// scenario's artifacts runs on fresh memory — verified and
+/// bit-identical to an unpooled job, on both backends — and never
+/// touches the foreign pool.
+#[test]
+fn foreign_pool_is_ignored_and_left_untouched() {
+    let config = BatchConfig { n: 4, precision: Precision::CDotp16, nsc: 4, seed: 41, unroll: 2 };
+    let symbol = SymbolScenario::prepare(&config).unwrap();
+    let other = SymbolScenario::prepare(&BatchConfig { nsc: 8, ..config }).unwrap();
+    let foreign = MemPool::new(Arc::clone(other.artifacts()));
+    // Park one arena, so a stray acquire would show as a recycle.
+    drop(terasim_terapool::FastSim::from_pool(&foreign));
+    let before = foreign.stats();
+    let with_foreign = |seed| Job { pool: Some(Arc::clone(&foreign)), ..Job::new(seed) };
+
+    let fresh = symbol.symbol(Job::new(config.seed)).unwrap();
+    let pooled = symbol.symbol(with_foreign(config.seed)).unwrap();
+    assert!(pooled.verified, "symbol job on a foreign pool must verify");
+    assert_eq!(symbol_key(&pooled), symbol_key(&fresh), "symbol job diverged on a foreign pool");
+
+    let pconfig = ParallelConfig { cores: 8, n: 4, precision: Precision::Half16, seed: 42, unroll: 2 };
+    let parallel = ParallelScenario::prepare(&pconfig).unwrap();
+    let fresh = parallel.fast(1, Job::new(pconfig.seed)).unwrap();
+    let pooled = parallel.fast(1, with_foreign(pconfig.seed)).unwrap();
+    assert!(pooled.verified, "fast job on a foreign pool must verify");
+    assert_eq!((pooled.cluster_cycles, pooled.instructions), (fresh.cluster_cycles, fresh.instructions));
+    let fresh = parallel.cycle(CycleEngine::EventDriven, Job::new(pconfig.seed)).unwrap();
+    let pooled = parallel.cycle(CycleEngine::EventDriven, with_foreign(pconfig.seed)).unwrap();
+    assert!(pooled.verified, "cycle job on a foreign pool must verify");
+    assert_eq!((pooled.cycles, pooled.breakdown), (fresh.cycles, fresh.breakdown));
+
+    assert_eq!(foreign.stats(), before, "a foreign pool must stay untouched");
 }
